@@ -10,7 +10,7 @@ Two claims, one artifact:
   sharded spectrum is usable at all: k-mer count lookups per second
   through a :class:`~repro.distributed.ShardRouter`, measured with all
   shards local, and with half the shards answered over real loopback
-  RPC (Bloom-prefiltered, as correction runs it).
+  RPC.
 
 Runs under pytest (``python -m pytest benchmarks/bench_distributed.py``)
 or standalone::
@@ -84,6 +84,7 @@ def run_backends(
             ),
             "speedup_vs_baseline": 1.0,
             "equivalent_to_baseline": True,
+            "shard_rpc_calls": 0,
         }
     ]
 
@@ -112,6 +113,9 @@ def run_backends(
                     serial_seconds / max(seconds, 1e-9), 2
                 ),
                 "equivalent_to_baseline": identical,
+                "shard_rpc_calls": report.counters.as_dict().get(
+                    "shard.rpc_calls", 0
+                ),
             }
         )
 
@@ -133,11 +137,10 @@ def run_lookup_throughput(
 ) -> dict:
     """Lookups/second through a ShardRouter, local vs over loopback.
 
-    The query mix mirrors correction's: mostly absent d-mutant
-    candidates (the Bloom prefilter answers those) plus a slice of
-    genuinely present k-mers that must reach a shard table.
+    The query mix is half absent d-mutant-like codes, half genuinely
+    present k-mers; every code is routed to its owning shard.
     """
-    spectrum = corrector.spectrum.with_prefilter()
+    spectrum = corrector.spectrum
     plan = ShardPlan.for_spectrum(spectrum.k, n_shards)
     shards = split_spectrum(spectrum, plan)
     rng = np.random.default_rng(13)
@@ -160,7 +163,7 @@ def run_lookup_throughput(
     local_router = ShardRouter(
         k=spectrum.k, plan=plan,
         local={s.shard_id: s for s in shards},
-        prefilter=spectrum.prefilter, n_kmers=spectrum.kmers.size,
+        n_kmers=spectrum.kmers.size,
     )
     local_rate = timed_router(local_router)
 
@@ -184,7 +187,7 @@ def run_lookup_throughput(
                 if s.shard_id not in remote_ids
             },
             clients=clients,
-            prefilter=spectrum.prefilter, n_kmers=spectrum.kmers.size,
+            n_kmers=spectrum.kmers.size,
         )
         mixed_rate = timed_router(remote_router)
         counters = dict(remote_router.counters)
@@ -199,8 +202,8 @@ def run_lookup_throughput(
         "batch_codes": int(codes.size),
         "local_lookups_per_second": local_rate,
         "mixed_remote_lookups_per_second": mixed_rate,
-        "prefiltered_fraction": round(
-            counters.get("shard.lookup_prefiltered", 0)
+        "remote_fraction": round(
+            counters.get("shard.lookup_remote", 0)
             / max(counters.get("shard.lookup_total", 1), 1),
             3,
         ),

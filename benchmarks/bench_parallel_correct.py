@@ -23,8 +23,7 @@ equivalence checking, a few seconds end to end.
 
 ``--hotpath`` switches to the hot-path ablation: the scalar legacy
 correction loop vs each fast path (batched tile kernels, tile memo
-cache, Bloom prefilter) alone and combined, over one shared phase-1
-fit.  Byte-equivalence with the scalar baseline is always asserted;
+cache) alone and combined, over one shared phase-1 fit.  Byte-equivalence with the scalar baseline is always asserted;
 ``--hotpath-report BENCH_hotpath.json`` emits the committed
 ``repro-bench-report/1`` perf-trajectory artifact (see
 docs/performance.md).
@@ -68,7 +67,6 @@ HOTPATH_CONFIGS: tuple[tuple[str, HotpathConfig], ...] = (
     ("scalar", HotpathConfig.all_off()),
     ("batch", replace(HotpathConfig.all_off(), batch=True)),
     ("memo", replace(HotpathConfig.all_off(), memo=True)),
-    ("prefilter", replace(HotpathConfig.all_off(), prefilter=True)),
     ("all_on", HotpathConfig.all_on()),
 )
 
@@ -200,7 +198,6 @@ def run_hotpath_ablation(reads, repeats: int = 1) -> list[dict]:
                 "name": name,
                 "batch": hp.batch,
                 "memo": hp.memo,
-                "prefilter": hp.prefilter,
                 "wall_seconds": round(seconds, 4),
                 "reads_per_second": round(reads.n_reads / max(seconds, 1e-9), 1),
                 "speedup_vs_baseline": round(baseline_seconds / max(seconds, 1e-9), 2),
@@ -371,8 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--hotpath", action="store_true",
-        help="run the hot-path ablation (scalar/batch/memo/prefilter/"
-             "all_on) instead of the worker-scaling sweep",
+        help="run the hot-path ablation (scalar/batch/memo/all_on) "
+             "instead of the worker-scaling sweep",
     )
     p.add_argument(
         "--hotpath-report", default=None, metavar="PATH",

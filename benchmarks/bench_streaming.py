@@ -102,23 +102,6 @@ def run_merge_scaling(reads, k: int, chunk_counts: tuple[int, ...]):
         assert _identical(balanced, mono), f"balanced diverged at {n_chunks}"
         assert _identical(external, mono), f"external diverged at {n_chunks}"
 
-        # A streaming accumulator asked for a Bloom prefilter must
-        # produce the same counts AND answer membership identically to
-        # the unfiltered spectrum (the prefilter is a pure fast path).
-        pre_acc = SpectrumAccumulator(k, prefilter_fp_rate=0.01)
-        for c in chunks:
-            pre_acc.add_chunk(c)
-        with_prefilter = pre_acc.finalize()
-        assert _identical(with_prefilter, mono), (
-            f"prefiltered spectrum diverged at {n_chunks}"
-        )
-        assert with_prefilter.prefilter is not None
-        probe = np.concatenate(
-            [mono.kmers[:64], (mono.kmers[:64] ^ np.uint64(3))]
-        )
-        assert np.array_equal(
-            with_prefilter.index_of(probe), mono.index_of(probe)
-        ), f"prefiltered index_of diverged at {n_chunks}"
         # The spill buffer holds at most budget + one chunk's table
         # (it spills as soon as an add pushes it past the budget), so
         # peak memory is flat in the chunk count.

@@ -133,8 +133,9 @@ def build_corrector(
     ``k`` and ``genome_length`` are interpreted per method (each has a
     sensible default); unknown methods raise ``ValueError`` listing the
     registry.  ``hotpath`` (a :class:`repro.core.hotpath.HotpathConfig`)
-    selects which exact fast paths are active — methods without a hot
-    path (the SHREC/SAP baselines) ignore it.
+    selects which exact fast paths are active in Reptile's tiling walk
+    (also the Reptile stage of ``hybrid``); the other methods have no
+    hot path and ignore it.
     """
     try:
         builder = _BUILDERS[method]
@@ -162,7 +163,7 @@ def _build_reptile(reads, k=None, genome_length=None, hotpath=None):
 def _build_redeem(reads, k=None, genome_length=None, hotpath=None):
     from .redeem import RedeemCorrector
 
-    return RedeemCorrector.fit(reads, k=k or 12, hotpath=hotpath)
+    return RedeemCorrector.fit(reads, k=k or 12)
 
 
 @register_corrector("hybrid")

@@ -1,6 +1,6 @@
 """Hot-path acceleration knobs shared by the correctors.
 
-Three independent, individually switchable fast paths (all exact —
+Two independent, individually switchable fast paths (both exact —
 every configuration produces byte-identical corrections, proven by
 ``tests/test_hotpath_equivalence.py``):
 
@@ -13,10 +13,7 @@ every configuration produces byte-identical corrections, proven by
   ``(tile_code, d1, d2)``: real datasets repeat the same error context
   many times, and the rule is a pure function of that key for fixed
   tables/thresholds (see :class:`~repro.core.reptile.tile_correct.TileRule`
-  for why the quality gate is split out);
-- **prefilter** — a Bloom filter fronting spectrum/tile membership
-  (:class:`repro.kmer.prefilter.BloomPrefilter`) so definitely-absent
-  candidates skip the binary search.
+  for why the quality gate is split out).
 
 Fork-safety contract (for future REP3xx lint work): the memo cache is
 held on the corrector *instance*, never at module scope, so forked
@@ -43,10 +40,9 @@ class HotpathConfig:
 
     batch: bool = True
     memo: bool = True
-    prefilter: bool = True
     #: Max rules held before bulk eviction (per worker process).
     memo_capacity: int = 1 << 20
-    #: Target Bloom false-positive rate for the membership prefilters.
+    #: Bloom false-positive rate; only perfbench's ``kmer-probe`` reads it.
     prefilter_fp_rate: float = 0.01
 
     @classmethod
@@ -56,11 +52,11 @@ class HotpathConfig:
     @classmethod
     def all_off(cls) -> "HotpathConfig":
         """The legacy scalar path — the ablation baseline."""
-        return cls(batch=False, memo=False, prefilter=False)
+        return cls(batch=False, memo=False)
 
     @property
     def any_on(self) -> bool:
-        return self.batch or self.memo or self.prefilter
+        return self.batch or self.memo
 
 
 class TileMemoCache:

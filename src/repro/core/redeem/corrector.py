@@ -56,7 +56,6 @@ class RedeemCorrector(ChunkedCorrectorMixin):
         both_strands: bool = False,
         spectrum: KmerSpectrum | None = None,
         use_quality_weights: bool = False,
-        hotpath=None,
     ) -> "RedeemCorrector":
         """Build the spectrum and run the EM.
 
@@ -66,14 +65,6 @@ class RedeemCorrector(ChunkedCorrectorMixin):
         a 1% rate when not given.  ``use_quality_weights`` replaces Y
         with quality-weighted q-mer counts (Chapter 5 extension),
         ignored when the reads carry no scores.
-
-        ``hotpath`` (a :class:`repro.core.hotpath.HotpathConfig`)
-        currently contributes its Bloom **prefilter**, attached to the
-        spectrum before the EM so the misread-matrix adjacency build
-        (the ``index_of`` storm over every candidate neighborhood)
-        rides it.  REDEEM already evaluates whole neighborhoods through
-        the batched CSR kernels; the tile memo does not apply here —
-        there are no tiles — and is ignored.
         """
         if error_model is None:
             error_model = uniform_kmer_error_model(k, 0.01)
@@ -89,8 +80,6 @@ class RedeemCorrector(ChunkedCorrectorMixin):
                 spectrum = spectrum_from_reads(
                     reads, k, both_strands=both_strands
                 )
-        if hotpath is not None and hotpath.prefilter:
-            spectrum = spectrum.with_prefilter(hotpath.prefilter_fp_rate)
         with telemetry.span("redeem.em", dmax=dmax, max_iter=max_iter):
             model = estimate_attempts(
                 spectrum,

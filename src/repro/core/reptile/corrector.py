@@ -89,13 +89,6 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         if neighbor_backend not in ("precomputed", "probing", "masked"):
             raise ValueError(f"unknown neighbor backend {neighbor_backend!r}")
         self.hotpath = hotpath if hotpath is not None else HotpathConfig()
-        if self.hotpath.prefilter:
-            # Shallow copies sharing the sorted arrays: callers keeping
-            # references to the originals (e.g. the ablation bench) see
-            # no mutation.  Attaching before the neighbor-index build
-            # also accelerates the index's own membership probes.
-            spectrum = spectrum.with_prefilter(self.hotpath.prefilter_fp_rate)
-            tiles = tiles.with_prefilter(self.hotpath.prefilter_fp_rate)
         self.params = params
         self.spectrum = spectrum
         self.tiles = tiles
@@ -201,16 +194,11 @@ class ReptileCorrector(ChunkedCorrectorMixin):
             build_from_chunks,
         )
 
-        hp = hotpath if hotpath is not None else HotpathConfig()
-        # Build the Bloom prefilters as part of the accumulation pass
-        # so streaming mode gets them without re-touching the tables.
-        fp = hp.prefilter_fp_rate if hp.prefilter else None
         spec_acc = SpectrumAccumulator(
             params.k,
             both_strands=True,
             max_memory_bytes=max_memory_bytes,
             tmp_dir=tmp_dir,
-            prefilter_fp_rate=fp,
         )
         tile_acc = TileAccumulator(
             params.k,
@@ -219,7 +207,6 @@ class ReptileCorrector(ChunkedCorrectorMixin):
             both_strands=True,
             max_memory_bytes=max_memory_bytes,
             tmp_dir=tmp_dir,
-            prefilter_fp_rate=fp,
         )
         with telemetry.span("reptile.fit_streaming", k=params.k):
             spectrum, tiles = build_from_chunks(chunks, [spec_acc, tile_acc])
@@ -232,7 +219,7 @@ class ReptileCorrector(ChunkedCorrectorMixin):
             tiles=tiles,
             neighbor_backend=neighbor_backend,
             flexible_tiling=flexible_tiling,
-            hotpath=hp,
+            hotpath=hotpath,
         )
 
     # -- batched rule precomputation ----------------------------------
@@ -582,10 +569,6 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         total += (
             self.tiles.tiles.nbytes + self.tiles.oc.nbytes + self.tiles.og.nbytes
         )
-        if self.spectrum.prefilter is not None:
-            total += self.spectrum.prefilter.nbytes
-        if self.tiles.prefilter is not None:
-            total += self.tiles.prefilter.nbytes
         if isinstance(self._index, PrecomputedNeighborIndex):
             total += self._index.indptr.nbytes + self._index.indices.nbytes
         elif isinstance(self._index, MaskedKmerIndex):

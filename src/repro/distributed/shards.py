@@ -15,14 +15,11 @@ one remote worker:
 - :class:`ShardRouter` is the worker-side *view* that stands in for
   the monolithic :class:`~repro.kmer.spectrum.KmerSpectrum` during
   correction: locally-owned shards answer directly, everything else
-  is batched into one lookup RPC per remote shard — and the existing
-  Bloom prefilter fronts the whole thing, so the dominant case when
-  probing d-mutant candidates (code absent everywhere) is answered
-  from local bits without any network round trip.
+  is batched into one lookup RPC per remote shard.
 
 The router guarantees bitwise-identical answers to the monolithic
-spectrum: shard counts are exact, the Bloom filter has zero false
-negatives, and routing is a pure partition of code space.
+spectrum: shard counts are exact and routing is a pure partition of
+code space.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..kmer.prefilter import BloomPrefilter
 from ..kmer.spectrum import KmerSpectrum
 from .framing import recv_msg, send_msg
 
@@ -282,19 +278,15 @@ class ShardRouter:
 
     Implements the exact query surface correction uses
     (``contains`` / ``count`` / ``count_scalar`` / ``__contains__`` /
-    ``k`` / ``n_kmers``): locally owned shards answer in-process,
-    remote codes are batched into one RPC per shard, and the Bloom
-    prefilter (zero false negatives, shipped whole — it is bits, not
-    the table) short-circuits definitely-absent codes before any
-    routing happens.  Every answer is bitwise identical to the
-    monolithic spectrum's.
+    ``k`` / ``n_kmers``): locally owned shards answer in-process and
+    remote codes are batched into one RPC per shard.  Every answer is
+    bitwise identical to the monolithic spectrum's.
     """
 
     k: int
     plan: ShardPlan
     local: dict[int, SpectrumShard]
     clients: ShardClientPool | None = None
-    prefilter: BloomPrefilter | None = field(default=None, repr=False)
     n_kmers: int = 0
     #: Monotonic lookup counters, harvested per chunk into the run's
     #: Counters (``shard.lookup_*`` in reports).
@@ -316,11 +308,6 @@ class ShardRouter:
         return out
 
     # -- KmerSpectrum query surface -----------------------------------
-    def with_prefilter(self, fp_rate: float = 0.01) -> "ShardRouter":
-        """The router already fronts lookups with the shipped filter."""
-        del fp_rate
-        return self
-
     def count(self, codes: np.ndarray) -> np.ndarray:
         codes = np.asarray(codes, dtype=np.uint64)
         flat = codes.ravel()
@@ -328,39 +315,29 @@ class ShardRouter:
         self._incr("shard.lookup_total", flat.size)
         if flat.size == 0:
             return out.reshape(codes.shape)
-        if self.prefilter is not None:
-            maybe = self.prefilter.maybe_contains(flat)
-            self._incr(
-                "shard.lookup_prefiltered", flat.size - int(maybe.sum())
-            )
-        else:
-            maybe = np.ones(flat.shape, dtype=bool)
-        if maybe.any():
-            live_idx = np.flatnonzero(maybe)
-            live = flat[live_idx]
-            shard_ids = self.plan.shard_of(live)
-            for s in np.unique(shard_ids).tolist():
-                sel = shard_ids == s
-                sub = live[sel]
-                shard = self.local.get(int(s))
-                if shard is not None:
-                    self._incr("shard.lookup_local", sub.size)
-                    counts = shard.count(sub)
-                else:
-                    if self.clients is None:
-                        raise ShardLookupError(
-                            f"shard {s} is remote but no client pool "
-                            "is attached"
-                        )
-                    self._incr("shard.lookup_remote", sub.size)
-                    self._incr("shard.rpc_calls")
-                    counts = self.clients.lookup(int(s), sub)
-                    if counts.shape != sub.shape:
-                        raise ShardLookupError(
-                            f"shard {s}: count shape {counts.shape} for "
-                            f"query shape {sub.shape}"
-                        )
-                out[live_idx[sel]] = counts
+        shard_ids = self.plan.shard_of(flat)
+        for s in np.unique(shard_ids).tolist():
+            sel = shard_ids == s
+            sub = flat[sel]
+            shard = self.local.get(int(s))
+            if shard is not None:
+                self._incr("shard.lookup_local", sub.size)
+                counts = shard.count(sub)
+            else:
+                if self.clients is None:
+                    raise ShardLookupError(
+                        f"shard {s} is remote but no client pool "
+                        "is attached"
+                    )
+                self._incr("shard.lookup_remote", sub.size)
+                self._incr("shard.rpc_calls")
+                counts = self.clients.lookup(int(s), sub)
+                if counts.shape != sub.shape:
+                    raise ShardLookupError(
+                        f"shard {s}: count shape {counts.shape} for "
+                        f"query shape {sub.shape}"
+                    )
+            out[sel] = counts
         return out.reshape(codes.shape)
 
     def contains(self, codes: np.ndarray) -> np.ndarray:

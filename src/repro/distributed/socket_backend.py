@@ -361,7 +361,6 @@ class SocketBackend:
                 "tiles": corrector.tiles,
                 "flexible_tiling": corrector.flexible_tiling,
                 "hotpath": corrector.hotpath,
-                "prefilter": spectrum.prefilter,
                 "n_kmers": spectrum.n_kmers,
             }
             return base, shards

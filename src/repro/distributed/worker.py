@@ -8,9 +8,9 @@ port, and introduces itself (``hello``).  The coordinator answers with
 table — after which the worker rebuilds a corrector locally: the
 shipped :class:`~repro.distributed.shards.ShardRouter` stands in for
 the monolithic spectrum (its probing neighbor index gives bitwise the
-same answers as the parent's precomputed one), the tile table and
-Bloom prefilter arrive whole because they are small, and correction
-chunks stream in over the control socket.
+same answers as the parent's precomputed one), the tile table arrives
+whole because it is small, and correction chunks stream in over the
+control socket.
 
 Control protocol (length-prefixed pickles, coordinator → worker):
 
@@ -113,7 +113,6 @@ def build_corrector(state: dict, routes: dict[int, tuple[str, int]]):
             plan=plan,
             local=local,
             clients=ShardClientPool(routes),
-            prefilter=state["prefilter"],
             n_kmers=state["n_kmers"],
         )
         corrector = ReptileCorrector(

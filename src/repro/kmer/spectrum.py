@@ -38,6 +38,7 @@ class KmerSpectrum:
     kmers: np.ndarray  # sorted uint64
     counts: np.ndarray  # int64, aligned with kmers
     #: Optional Bloom prefilter over ``kmers`` (never affects results).
+    #: Its only remaining caller is perfbench's ``kmer-probe``.
     prefilter: BloomPrefilter | None = field(
         default=None, repr=False, compare=False
     )

@@ -141,14 +141,12 @@ class SpectrumAccumulator:
         both_strands: bool = True,
         max_memory_bytes: int | None = None,
         tmp_dir=None,
-        prefilter_fp_rate: float | None = None,
     ) -> None:
         from ..seq.encoding import check_k
 
         check_k(k)
         self.k = k
         self.both_strands = both_strands
-        self.prefilter_fp_rate = prefilter_fp_rate
         self._counter = None
         self._stack = None
         if max_memory_bytes is not None:
@@ -196,20 +194,13 @@ class SpectrumAccumulator:
     def finalize(self) -> KmerSpectrum:
         if self._counter is not None:
             codes, values = self._counter.finalize()
-            out = KmerSpectrum(k=self.k, kmers=codes, counts=values[:, 0])
-        else:
-            acc = self._stack.result()
-            out = acc if acc is not None else KmerSpectrum(
-                k=self.k,
-                kmers=np.empty(0, dtype=np.uint64),
-                counts=np.empty(0, dtype=np.int64),
-            )
-        if self.prefilter_fp_rate is not None:
-            # The stream already paid for the accumulation pass; the
-            # prefilter is one extra vectorized hash over the final
-            # unique codes, so ``--stream`` gets it essentially free.
-            out = out.with_prefilter(self.prefilter_fp_rate)
-        return out
+            return KmerSpectrum(k=self.k, kmers=codes, counts=values[:, 0])
+        acc = self._stack.result()
+        return acc if acc is not None else KmerSpectrum(
+            k=self.k,
+            kmers=np.empty(0, dtype=np.uint64),
+            counts=np.empty(0, dtype=np.int64),
+        )
 
 
 class TileAccumulator:
@@ -224,7 +215,6 @@ class TileAccumulator:
         both_strands: bool = True,
         max_memory_bytes: int | None = None,
         tmp_dir=None,
-        prefilter_fp_rate: float | None = None,
     ) -> None:
         if not 0 <= overlap < k:
             raise ValueError("overlap must be in [0, k)")
@@ -232,7 +222,6 @@ class TileAccumulator:
         self.overlap = overlap
         self.quality_cutoff = quality_cutoff
         self.both_strands = both_strands
-        self.prefilter_fp_rate = prefilter_fp_rate
         self._counter = None
         self._stack = None
         if max_memory_bytes is not None:
@@ -283,27 +272,22 @@ class TileAccumulator:
     def finalize(self) -> TileTable:
         if self._counter is not None:
             codes, values = self._counter.finalize()
-            out = TileTable(
+            return TileTable(
                 k=self.k,
                 overlap=self.overlap,
                 tiles=codes,
                 oc=values[:, 0],
                 og=values[:, 1],
             )
-        else:
-            acc = self._stack.result()
-            if acc is None:
-                empty = np.empty(0, dtype=np.uint64)
-                zeros = np.empty(0, dtype=np.int64)
-                out = TileTable(
-                    k=self.k, overlap=self.overlap,
-                    tiles=empty, oc=zeros, og=zeros,
-                )
-            else:
-                out = acc
-        if self.prefilter_fp_rate is not None:
-            out = out.with_prefilter(self.prefilter_fp_rate)
-        return out
+        acc = self._stack.result()
+        if acc is None:
+            empty = np.empty(0, dtype=np.uint64)
+            zeros = np.empty(0, dtype=np.int64)
+            return TileTable(
+                k=self.k, overlap=self.overlap,
+                tiles=empty, oc=zeros, og=zeros,
+            )
+        return acc
 
 
 def build_from_chunks(chunks: Iterable[ReadSet], accumulators: Sequence):

@@ -78,6 +78,7 @@ class TileTable:
     oc: np.ndarray
     og: np.ndarray
     #: Optional Bloom prefilter over ``tiles`` (never affects results).
+    #: Its only remaining caller is perfbench's ``kmer-probe``.
     prefilter: BloomPrefilter | None = field(
         default=None, repr=False, compare=False
     )

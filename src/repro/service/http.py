@@ -60,6 +60,12 @@ from .worker import ServeWorker, SpoolError, default_worker_id, \
 
 __all__ = ["ApiError", "ServiceAPI", "JobsHTTPServer", "main"]
 
+#: Largest request body read (413 beyond it).  A ``repro-job/1`` submit
+#: envelope is a few hundred bytes of paths and options, so this leaves
+#: orders of magnitude of headroom while bounding what one request can
+#: make the server allocate.
+MAX_BODY_BYTES = 1 << 20
+
 
 class ApiError(Exception):
     """A verb failed in a way the wire schema can express."""
@@ -313,12 +319,25 @@ class JobsHTTPHandler(BaseHTTPRequestHandler):
                 self.wfile.write(block)
 
     def _read_json(self) -> object:
+        header = self.headers.get("Content-Length") or "0"
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(header)
         except ValueError:
+            length = -1
+        # A rejected body is never read, so the connection cannot be
+        # reused: its unread bytes would parse as the next request.
+        if length < 0:
+            self.close_connection = True
             raise ApiError(
-                400, "invalid-request", "bad Content-Length"
-            ) from None
+                400, "invalid-request", f"bad Content-Length {header!r}"
+            )
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise ApiError(
+                413, "too-large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw.decode("utf-8"))

@@ -15,7 +15,7 @@ keyed by everything that determines the fitted structures:
   fragment the pool.
 - **Bounded LRU, bytes budget.** Entry sizes are measured by walking
   the fitted corrector for numpy arrays (spectrum codes/counts, tile
-  tables, Bloom prefilter bits) and summing ``nbytes``; least recently
+  tables, neighbor index) and summing ``nbytes``; least recently
   used entries are evicted until both the byte budget and the entry
   cap hold.  An entry larger than the whole budget is returned to its
   builder but never retained.

@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     h = p.add_argument_group(
         "hot-path ablation",
-        "All three fast paths are exact (byte-identical output); these "
+        "Both fast paths are exact (byte-identical output); these "
         "switches exist for perf ablation and debugging. See "
         "docs/performance.md.",
     )
@@ -89,18 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the bounded (tile, d1, d2) -> rule memo cache",
     )
     h.add_argument(
-        "--no-prefilter", action="store_true",
-        help="disable the Bloom prefilter in front of spectrum/tile "
-             "membership lookups",
-    )
-    h.add_argument(
         "--memo-capacity", type=positive_int, default=None, metavar="N",
         help="memo cache entries per worker before bulk eviction "
              "(default 1048576)",
-    )
-    h.add_argument(
-        "--prefilter-fp-rate", type=float, default=None, metavar="P",
-        help="target Bloom false-positive rate (default 0.01)",
     )
     add_parallel_flags(p)
     add_reliability_flags(p)
@@ -116,19 +107,11 @@ def hotpath_from_args(args: argparse.Namespace):
     extra = {}
     if getattr(args, "memo_capacity", None) is not None:
         extra["memo_capacity"] = args.memo_capacity
-    if getattr(args, "prefilter_fp_rate", None) is not None:
-        extra["prefilter_fp_rate"] = args.prefilter_fp_rate
     return HotpathConfig(
         batch=not getattr(args, "no_batch_kernels", False),
         memo=not getattr(args, "no_memo_cache", False),
-        prefilter=not getattr(args, "no_prefilter", False),
         **extra,
     )
-
-
-def _build_corrector(method: str, reads, k, genome_length):
-    """Deprecated shim — use :func:`repro.core.api.build_corrector`."""
-    return build_corrector(method, reads, k=k, genome_length=genome_length)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -223,18 +206,11 @@ def _run_stream(args: argparse.Namespace, tel) -> int:
     )
     k_final = args.k if args.k is not None else sel_params.k
     hotpath = hotpath_from_args(args)
-    # The final-structure accumulators build the Bloom prefilters as
-    # part of the same accumulation pass (the selection-only table
-    # never serves lookups and needs none).
-    prefilter_fp = (
-        hotpath.prefilter_fp_rate if hotpath.prefilter else None
-    )
     with telemetry.span("fit", method=args.method, k=k_final):
         spec_acc = SpectrumAccumulator(
             k_final,
             max_memory_bytes=args.max_memory,
             tmp_dir=args.tmp_dir,
-            prefilter_fp_rate=prefilter_fp,
         )
         accs = [spec_acc]
         sel_tiles_acc = TileAccumulator(
@@ -243,9 +219,6 @@ def _run_stream(args: argparse.Namespace, tel) -> int:
             quality_cutoff=sel_params.qc,
             max_memory_bytes=args.max_memory,
             tmp_dir=args.tmp_dir,
-            prefilter_fp_rate=(
-                prefilter_fp if k_final == sel_params.k else None
-            ),
         )
         accs.append(sel_tiles_acc)
         final_tiles_acc = sel_tiles_acc
@@ -256,7 +229,6 @@ def _run_stream(args: argparse.Namespace, tel) -> int:
                 quality_cutoff=sel_params.qc,
                 max_memory_bytes=args.max_memory,
                 tmp_dir=args.tmp_dir,
-                prefilter_fp_rate=prefilter_fp,
             )
             accs.append(final_tiles_acc)
         with telemetry.span("stream.phase1"):

@@ -97,13 +97,6 @@ def test_mixin_requires_correct():
     assert not isinstance(NoCorrect(), Corrector)
 
 
-def test_legacy_build_corrector_shim(tiny_reads):
-    from repro.tools.correct import _build_corrector
-
-    c = _build_corrector("sap", tiny_reads, 10, None)
-    assert supports_chunking(c)
-
-
 # -- unified CLI dispatch -----------------------------------------------------
 def test_repro_cli_usage_and_errors(capsys):
     from repro.__main__ import main

@@ -170,14 +170,13 @@ def test_split_spectrum_rejects_k_mismatch(reptile_case):
 
 def test_shard_router_matches_monolithic_spectrum(reptile_case):
     corrector, reads = reptile_case
-    spectrum = corrector.spectrum.with_prefilter()
+    spectrum = corrector.spectrum
     plan = ShardPlan.for_spectrum(spectrum.k, 4)
     shards = split_spectrum(spectrum, plan)
     router = ShardRouter(
         k=spectrum.k,
         plan=plan,
         local={s.shard_id: s for s in shards},  # all local: no sockets
-        prefilter=spectrum.prefilter,
         n_kmers=spectrum.kmers.size,
     )
     rng = np.random.default_rng(7)
@@ -195,11 +194,10 @@ def test_shard_router_matches_monolithic_spectrum(reptile_case):
     scalar = int(present[0])
     assert router.count_scalar(scalar) == spectrum.count_scalar(scalar)
     assert (scalar in router) == (scalar in spectrum)
-    assert router.with_prefilter() is router
     counters = dict(router.counters)
     assert counters["shard.lookup_total"] > 0
-    assert counters["shard.lookup_prefiltered"] > 0  # absent codes
     assert counters.get("shard.lookup_remote", 0) == 0
+    assert counters["shard.lookup_local"] == counters["shard.lookup_total"]
     # harvest() yields deltas exactly once.
     first = router.harvest()
     assert first == {k: v for k, v in counters.items() if v}
@@ -319,9 +317,13 @@ def test_socket_backend_matches_serial(reptile_case, socket_fleet):
     assert counters["backend.rpc_calls"] > 0
     assert counters["shard.lookup_total"] > 0
     # With 4 shards across 2 workers, every worker owns 2 and must
-    # consult peers for the rest — unless the prefilter answered.
+    # consult peers for the rest; every lookup is routed exactly once.
     assert counters["shard.lookup_local"] > 0
-    assert counters["shard.lookup_prefiltered"] > 0
+    assert counters["shard.lookup_remote"] > 0
+    assert (
+        counters["shard.lookup_local"] + counters["shard.lookup_remote"]
+        == counters["shard.lookup_total"]
+    )
 
 
 @pytest.mark.slow

@@ -1,8 +1,7 @@
 """Differential tests: every hot-path fast path is byte-exact.
 
-The batched kernels, the correction memo cache, and the Bloom
-prefilter (:mod:`repro.core.hotpath`) are *accelerations*, not
-approximations — any configuration must produce output bitwise
+The batched kernels and the correction memo cache
+(:mod:`repro.core.hotpath`) are *accelerations*, not approximations — any configuration must produce output bitwise
 identical to the legacy scalar path.  These tests pin that contract
 at every level:
 
@@ -21,8 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.api import build_corrector
 from repro.core.hotpath import HotpathConfig
-from repro.core.redeem import RedeemCorrector
 from repro.core.reptile import ReptileCorrector
 from repro.core.reptile.read_correct import valid_walk_positions
 from repro.core.reptile.tile_correct import (
@@ -44,9 +43,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 ABLATIONS = {
     "all_on": HotpathConfig(),
-    "batch_only": HotpathConfig(batch=True, memo=False, prefilter=False),
-    "memo_only": HotpathConfig(batch=False, memo=True, prefilter=False),
-    "prefilter_only": HotpathConfig(batch=False, memo=False, prefilter=True),
+    "batch_only": HotpathConfig(batch=True, memo=False),
+    "memo_only": HotpathConfig(batch=False, memo=True),
 }
 
 
@@ -133,22 +131,24 @@ def test_memo_counters_harvested_per_chunk(reptile_reads, scalar_corrector):
     assert merged["hotpath.memo_misses"] >= 0
 
 
-def test_redeem_prefilter_byte_identical():
-    """REDEEM's hotpath contribution (the spectrum prefilter riding the
-    EM neighborhood lookups) never changes a corrected base."""
+def test_redeem_hotpath_matches_scalar():
+    """REDEEM built through the registry with every fast path on and
+    with the scalar config corrects identically: the hot-path config
+    never changes a REDEEM base or attempt estimate."""
     reads = read_fastq(GOLDEN / "redeem_reads.fastq")
-    plain = RedeemCorrector.fit(reads, k=10)
-    fast = RedeemCorrector.fit(reads, k=10, hotpath=HotpathConfig())
-    assert fast.spectrum.prefilter is not None
-    assert np.array_equal(
-        plain.correct(reads).codes, fast.correct(reads).codes
+    scalar = build_corrector(
+        "redeem", reads, k=10, hotpath=HotpathConfig.all_off()
     )
-    assert np.allclose(plain.T, fast.T)
+    fast = build_corrector("redeem", reads, k=10, hotpath=HotpathConfig())
+    assert np.array_equal(
+        scalar.correct(reads).codes, fast.correct(reads).codes
+    )
+    assert np.array_equal(scalar.T, fast.T)
 
 
 # -- CLI-level differentials (in-memory vs --stream, flags) -----------
 
-ALL_OFF_FLAGS = ["--no-batch-kernels", "--no-memo-cache", "--no-prefilter"]
+ALL_OFF_FLAGS = ["--no-batch-kernels", "--no-memo-cache"]
 
 
 @pytest.fixture(scope="module")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -35,7 +36,7 @@ from repro.service.client import (
     ServiceError,
     TransportError,
 )
-from repro.service.http import JobsHTTPServer, ServiceAPI
+from repro.service.http import MAX_BODY_BYTES, JobsHTTPServer, ServiceAPI
 from repro.service.pool import SpectrumPool
 from repro.service.spec import JobSpec
 from repro.service.tenants import TenantRateLimiter
@@ -181,6 +182,51 @@ class TestHttpErrors:
         body = json.loads(e.value.read())
         assert body["error"]["code"] == "invalid-json"
         e.value.close()
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [
+            ("-1", 400),
+            ("-5", 400),
+            ("abc", 400),
+            (str(MAX_BODY_BYTES + 1), 413),
+        ],
+    )
+    def test_bad_content_length_rejected_unread(self, server, length,
+                                                status):
+        """A bad or oversized Content-Length gets a clean 4xx before
+        any body byte is read, even on a connection the client keeps
+        open (``-1`` used to read to EOF and stall keep-alive)."""
+        host, port = server.server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as conn:
+            conn.settimeout(10)  # a stall fails the test, never hangs it
+            conn.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\n"
+                b"Host: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n"
+                b"\r\n{}"
+            )
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                data = conn.recv(4096)
+                assert data, "server closed without a response"
+                reply += data
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.split()[1] == str(status).encode()
+            size = int(
+                next(
+                    line.split(b":", 1)[1]
+                    for line in head.split(b"\r\n")
+                    if line.lower().startswith(b"content-length:")
+                )
+            )
+            while len(body) < size:
+                data = conn.recv(4096)
+                assert data, "server closed mid-response"
+                body += data
+        code = json.loads(body)["error"]["code"]
+        assert code == ("too-large" if status == 413 else "invalid-request")
 
     def test_invalid_envelope_400(self, server):
         with pytest.raises(ServiceError) as e:
