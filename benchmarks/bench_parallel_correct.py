@@ -21,9 +21,10 @@ or standalone::
 ``--smoke`` is the CI bit-rot guard: a tiny dataset, 1 worker, full
 equivalence checking, a few seconds end to end.
 
-``--hotpath`` switches to the hot-path ablation: the scalar legacy
-correction loop vs each fast path (batched tile kernels, tile memo
-cache) alone and combined, over one shared phase-1 fit.  Byte-equivalence with the scalar baseline is always asserted;
+``--hotpath`` switches to the hot-path comparison: the scalar
+reference tiling walk vs the default lockstep walk, over one shared
+phase-1 fit.  Equivalence with the reference (codes and stats) is
+always asserted;
 ``--hotpath-report BENCH_hotpath.json`` emits the committed
 ``repro-bench-report/1`` perf-trajectory artifact (see
 docs/performance.md).
@@ -35,7 +36,6 @@ import argparse
 import json
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -55,19 +55,17 @@ from repro.telemetry.report import (
 #: Required speedup of 4 workers over serial (acceptance bar).
 SPEEDUP_TARGET = 2.0
 
-#: Required all-on speedup over the scalar baseline on the full bench
+#: Required lockstep speedup over the reference walk on the full bench
 #: corpus (the committed BENCH_hotpath.json artifact).  CI runs the
-#: same ablation on a small corpus with a more conservative floor.
+#: same comparison on a small corpus with a more conservative floor.
 HOTPATH_SPEEDUP_FLOOR = 3.0
 
-#: The ablation grid: each fast path alone, then all together.  The
-#: scalar baseline is the legacy per-tile path, instruction for
-#: instruction (see docs/performance.md).
+#: The comparison grid: the scalar per-read reference walk (the
+#: baseline and differential oracle), then the default lockstep walk
+#: (see docs/performance.md).
 HOTPATH_CONFIGS: tuple[tuple[str, HotpathConfig], ...] = (
-    ("scalar", HotpathConfig.all_off()),
-    ("batch", replace(HotpathConfig.all_off(), batch=True)),
-    ("memo", replace(HotpathConfig.all_off(), memo=True)),
-    ("all_on", HotpathConfig.all_on()),
+    ("reference", HotpathConfig(reference=True)),
+    ("lockstep", HotpathConfig()),
 )
 
 
@@ -149,55 +147,49 @@ def run_scaling(
 def run_hotpath_ablation(reads, repeats: int = 1) -> list[dict]:
     """Time each hot-path configuration over the same phase-1 tables.
 
-    Phase 1 (spectrum, tiles, thresholds) is fitted **once** with every
-    fast path off; each ablation corrector is then rebuilt around the
-    same shared structures, so the rows measure only the correction
-    pass.  Every config's output is asserted byte-identical to the
-    scalar baseline before any timing claim is recorded.
+    Phase 1 (spectrum, tiles, thresholds) is fitted **once**; each
+    corrector is then rebuilt around the same shared structures, so the
+    rows measure only the correction pass.  Every config's codes and
+    stats are asserted identical to the reference walk's before any
+    timing claim is recorded.
     """
     with telemetry.span("fit"):
-        base = ReptileCorrector.fit(reads, hotpath=HotpathConfig.all_off())
+        base = ReptileCorrector.fit(reads)
 
     def _time(corrector):
-        best, corrected = None, None
+        best, result = None, None
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
-            corrected = corrector.correct(reads)
+            result = corrector.run(reads)
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
-        return best, corrected
+        return best, result
 
     rows: list[dict] = []
-    baseline_codes = baseline_lengths = baseline_seconds = None
+    baseline = baseline_seconds = None
     for name, hp in HOTPATH_CONFIGS:
-        corrector = (
-            base
-            if name == "scalar"
-            else ReptileCorrector(
-                params=base.params,
-                spectrum=base.spectrum,
-                tiles=base.tiles,
-                hotpath=hp,
-            )
+        corrector = ReptileCorrector(
+            params=base.params,
+            spectrum=base.spectrum,
+            tiles=base.tiles,
+            hotpath=hp,
         )
         with telemetry.span(f"correct[{name}]"):
-            seconds, corrected = _time(corrector)
-        if name == "scalar":
-            baseline_codes = corrected.codes
-            baseline_lengths = corrected.lengths
-            baseline_seconds = seconds
+            seconds, result = _time(corrector)
+        if baseline is None:
+            baseline, baseline_seconds = result, seconds
         identical = bool(
-            np.array_equal(corrected.codes, baseline_codes)
-            and np.array_equal(corrected.lengths, baseline_lengths)
+            np.array_equal(result.reads.codes, baseline.reads.codes)
+            and np.array_equal(result.reads.lengths, baseline.reads.lengths)
+            and result.stats == baseline.stats
         )
         assert identical, (
-            f"hot-path config {name!r} diverged from the scalar baseline"
+            f"hot-path config {name!r} diverged from the reference walk"
         )
         rows.append(
             {
                 "name": name,
-                "batch": hp.batch,
-                "memo": hp.memo,
+                "reference": hp.reference,
                 "wall_seconds": round(seconds, 4),
                 "reads_per_second": round(reads.n_reads / max(seconds, 1e-9), 1),
                 "speedup_vs_baseline": round(baseline_seconds / max(seconds, 1e-9), 2),
@@ -216,7 +208,7 @@ def hotpath_report(
         "benchmark": "bench_parallel_correct/hotpath_ablation",
         "corpus": corpus,
         "environment": environment_info(),
-        "baseline": "scalar",
+        "baseline": "reference",
         "speedup_floor": speedup_floor,
         "configs": rows,
     }
@@ -226,10 +218,10 @@ def hotpath_report(
 
 
 def _check_hotpath_speedup(rows: list[dict], floor: float) -> None:
-    all_on = next(r for r in rows if r["name"] == "all_on")
-    assert all_on["speedup_vs_baseline"] >= floor, (
-        f"all-on hot path is {all_on['speedup_vs_baseline']}x the scalar "
-        f"baseline, below the {floor}x floor"
+    lockstep = next(r for r in rows if r["name"] == "lockstep")
+    assert lockstep["speedup_vs_baseline"] >= floor, (
+        f"lockstep walk is {lockstep['speedup_vs_baseline']}x the "
+        f"reference walk, below the {floor}x floor"
     )
 
 
@@ -279,8 +271,8 @@ def test_parallel_correct_shared_backing_smoke():
 
 
 def test_hotpath_ablation_equivalence_smoke():
-    """Every ablation config is byte-identical to the scalar baseline
-    and the emitted artifact satisfies repro-bench-report/1.  (Speedup
+    """Every config matches the reference walk (codes and stats) and
+    the emitted artifact satisfies repro-bench-report/1.  (Speedup
     is not asserted at smoke scale — the committed artifact and the CI
     bench job own that claim.)"""
     reads = build_dataset(genome_length=1_500, coverage=8.0, seed=11)
@@ -302,11 +294,12 @@ def _main_hotpath(args: argparse.Namespace) -> int:
             reads = build_dataset(args.genome_length, args.coverage)
         rows = run_hotpath_ablation(reads, repeats=args.hotpath_repeats)
     _print_rows(
-        f"Hot-path ablation, {reads.n_reads} reads "
+        f"Hot-path comparison, {reads.n_reads} reads "
         f"({_effective_cores()} cores)",
         rows,
     )
-    print("equivalence: all configs byte-identical to the scalar baseline")
+    print("equivalence: all configs identical to the reference walk "
+          "(codes and stats)")
     report = hotpath_report(
         rows,
         {
@@ -324,16 +317,16 @@ def _main_hotpath(args: argparse.Namespace) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote bench report to {args.hotpath_report}")
-    all_on = next(r for r in rows if r["name"] == "all_on")
+    lockstep = next(r for r in rows if r["name"] == "lockstep")
     if args.require_hotpath_speedup:
         _check_hotpath_speedup(rows, args.hotpath_floor)
         print(
-            f"speedup: all-on {all_on['speedup_vs_baseline']}x >= "
+            f"speedup: lockstep {lockstep['speedup_vs_baseline']}x >= "
             f"{args.hotpath_floor}x floor"
         )
     else:
         print(
-            f"speedup: all-on {all_on['speedup_vs_baseline']}x "
+            f"speedup: lockstep {lockstep['speedup_vs_baseline']}x "
             f"(floor {args.hotpath_floor}x recorded, not asserted)"
         )
     return 0
@@ -368,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p.add_argument(
         "--hotpath", action="store_true",
-        help="run the hot-path ablation (scalar/batch/memo/all_on) "
+        help="run the hot-path comparison (reference/lockstep) "
              "instead of the worker-scaling sweep",
     )
     p.add_argument(
@@ -379,13 +372,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--hotpath-floor", type=float, default=HOTPATH_SPEEDUP_FLOOR,
         metavar="X",
-        help=f"required all-on speedup over scalar "
+        help=f"required lockstep speedup over the reference walk "
              f"(default {HOTPATH_SPEEDUP_FLOOR}; CI uses a conservative "
              f"floor on its small corpus)",
     )
     p.add_argument(
         "--require-hotpath-speedup", action="store_true",
-        help="fail the run if the all-on config misses --hotpath-floor "
+        help="fail the run if the lockstep walk misses --hotpath-floor "
              "(default: floor is printed, only the artifact records it)",
     )
     p.add_argument(

@@ -16,7 +16,7 @@ from .api import (
     register_corrector,
     supports_chunking,
 )
-from .hotpath import HotpathConfig, TileMemoCache
+from .hotpath import HotpathConfig
 
 #: Lazily resolved name -> (submodule, attribute or None for the module).
 _LAZY = {
@@ -29,7 +29,6 @@ _LAZY = {
 
 __all__ = [
     "HotpathConfig",
-    "TileMemoCache",
     "reptile",
     "redeem",
     "closet",

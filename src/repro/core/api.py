@@ -133,9 +133,9 @@ def build_corrector(
     ``k`` and ``genome_length`` are interpreted per method (each has a
     sensible default); unknown methods raise ``ValueError`` listing the
     registry.  ``hotpath`` (a :class:`repro.core.hotpath.HotpathConfig`)
-    selects which exact fast paths are active in Reptile's tiling walk
-    (also the Reptile stage of ``hybrid``); the other methods have no
-    hot path and ignore it.
+    selects Reptile's tiling walk, lockstep or the scalar reference
+    (also for the Reptile stage of ``hybrid``); the other methods
+    ignore it.
     """
     try:
         builder = _BUILDERS[method]

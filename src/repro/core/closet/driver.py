@@ -8,7 +8,10 @@ Typical use::
     result = clusterer.run(reads, thresholds=[0.95, 0.92, 0.90])
     result.clusters[0.92]      # list of read-index arrays
 
-Two backends produce identical clusterings:
+Two backends confirm identical edge sets; their clusterings differ,
+because the greedy quasi-clique merges run in different orders (on a
+1000-read 454-like sample at t=0.5, plain makes 697 clusters and
+mapreduce 1,667 from the same 2,926 confirmed edges):
 
 - ``backend='plain'`` — vectorized single-process reference;
 - ``backend='mapreduce'`` — the Task 1–8 pipeline of Sec. 4.4 on the

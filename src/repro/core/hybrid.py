@@ -62,8 +62,8 @@ class HybridCorrector:
     ) -> "HybridCorrector":
         """Fit the REDEEM stage; the Reptile stage is fit lazily on the
         REDEEM-corrected reads inside :meth:`run` (its spectra must
-        reflect stage 1's output).  ``hotpath`` selects the fast paths
-        of that Reptile tiling pass."""
+        reflect stage 1's output).  ``hotpath`` selects the tiling walk
+        of that Reptile pass."""
         redeem = RedeemCorrector.fit(
             reads, k=k_redeem, error_model=error_model, dmax=dmax
         )

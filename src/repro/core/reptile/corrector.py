@@ -10,9 +10,15 @@ Typical use::
 Phase 1 (information extraction) happens in :meth:`fit`: the
 k-spectrum, the precomputed Hamming-neighbor adjacency, and the
 quality-gated tile table.  Phase 2 (:meth:`correct`) walks every read
-with Algorithm 2 in both directions.  Reads are never stored beyond
-their columnar ReadSet; spectra and tiles are sorted arrays, so the
-memory footprint follows ``O(|R^k| + |R^{2k-l}|)`` (Sec. 2.3).
+with Algorithm 2 in both directions: each equal-length block of reads
+advances in numpy lockstep, one tile per read per step, and the
+Algorithm 1 rules a step needs are resolved in one batch through a
+per-run rule table.  ``HotpathConfig(reference=True)`` selects the
+scalar per-read walk instead — the differential oracle for tests and
+benches; both produce identical codes, stats and per-base provenance.
+Reads are never stored beyond their columnar ReadSet; spectra and
+tiles are sorted arrays, so the memory footprint follows
+``O(|R^k| + |R^{2k-l}|)`` (Sec. 2.3).
 """
 
 from __future__ import annotations
@@ -27,39 +33,20 @@ from ...kmer.masked_index import MaskedKmerIndex
 from ...kmer.neighbor_index import PrecomputedNeighborIndex, ProbingNeighborIndex
 from ...kmer.spectrum import KmerSpectrum, spectrum_from_reads
 from ...kmer.tiles import TileTable, tile_table_from_reads
-from ...kmer.tiles import tile_og_rows
 from ...seq.alphabet import reverse_complement_codes
+from ...seq.distance import kmer_hamming
 from ..api import ChunkedCorrectorMixin
-from ..hotpath import HotpathConfig, TileMemoCache
+from ..hotpath import HotpathConfig
 from .ambiguous import convert_ambiguous
 from .params import ReptileParams, select_parameters
-from .tile_correct import (
-    Decision,
-    TileRule,
-    enumerate_mutant_tiles_batch,
-    evaluate_tiles_batch,
-    tile_diff_positions,
-)
+from .tile_correct import enumerate_mutant_tiles_batch, evaluate_tiles_batch
 from .read_correct import (
     ReadCorrectionStats,
+    RuleTable,
     TilingContext,
+    correct_block_lockstep,
     correct_read_one_direction,
-    valid_walk_positions,
 )
-
-
-def _rule_valid(rules, codes: np.ndarray, og: np.ndarray) -> np.ndarray:
-    """Boolean mask: window is unambiguous and its bulk rule is VALID."""
-    utiles, decisions = rules[0], rules[1]
-    out = np.zeros(codes.shape, dtype=bool)
-    ok = og >= 0
-    if utiles.size and ok.any():
-        sub = codes[ok]
-        idx = np.searchsorted(utiles, sub)
-        idx_c = np.minimum(idx, utiles.size - 1)
-        found = utiles[idx_c] == sub
-        out[ok] = found & (decisions[idx_c] == 0)
-    return out
 
 
 @dataclass
@@ -72,6 +59,10 @@ class ReptileResult:
     #: Per-base mask of positions covered by a validated/corrected
     #: tile in either direction (None unless requested).
     validated: np.ndarray | None = None
+    #: Distinct (tile, allowance) rules evaluated, and every other
+    #: rule-table lookup (both 0 on the reference walk).
+    rules_evaluated: int = 0
+    rules_reused: int = 0
 
 
 class ReptileCorrector(ChunkedCorrectorMixin):
@@ -102,21 +93,11 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         else:  # "masked" — the set was validated on entry
             self._index = MaskedKmerIndex(spectrum.kmers, params.k, params.d)
             self._neighbor_fn = self._index.neighbors
-        # The memo lives on the instance: forked workers get a
-        # copy-on-write snapshot and mutate only their own copy, with
-        # counters harvested per chunk (see core/hotpath.py docstring).
-        self._memo = (
-            TileMemoCache(self.hotpath.memo_capacity)
-            if self.hotpath.memo
-            else None
-        )
         self._ctx = TilingContext(
             params=params,
             tile_lookup=self.tiles.lookup,
             kmer_neighbors=self._neighbor_fn,
             flexible=flexible_tiling,
-            memo=self._memo,
-            batch=self.hotpath.batch,
         )
 
     # -- construction -------------------------------------------------
@@ -222,95 +203,73 @@ class ReptileCorrector(ChunkedCorrectorMixin):
             hotpath=hotpath,
         )
 
-    # -- batched rule precomputation ----------------------------------
-    def _bulk_rules(self, codes: np.ndarray, og: np.ndarray, d1: int):
-        """Vectorized Algorithm-1 rules for the unique tiles in ``codes``.
-
-        ``d1`` must be 0 or ``params.d`` (the two mutation allowances a
-        canonical walk ever uses); ``og`` rows of -1 (ambiguous
-        windows) are dropped.  Returns ``(utiles, decisions, new_tiles,
-        gated, uog)`` aligned over the sorted unique tile codes, or
-        None when the neighbor backend has no batch API (the masked
-        backend) — callers then fall back to the per-tile path.
-        """
-        nb_batch = getattr(self._index, "neighbors_batch", None)
-        if nb_batch is None:
-            return None
-        p = self.params
-        keep = og >= 0
-        codes, og = codes[keep], og[keep]
-        utiles, first = np.unique(codes, return_index=True)
-        uog = og[first].astype(np.int64)
-        decisions = np.zeros(utiles.size, dtype=np.uint8)
-        new_tiles = np.zeros(utiles.size, dtype=np.uint64)
-        gated = np.zeros(utiles.size, dtype=bool)
-        # og >= cg tiles are VALID outright (and the walk short-circuits
-        # them before ever consulting the memo) — evaluate the rest.
-        need = uog < p.cg
-        if need.any():
-            sub = utiles[need]
-            a1 = sub >> np.uint64(2 * (p.tile_length - p.k))
-            a2 = sub & np.uint64((1 << (2 * p.k)) - 1)
-            if d1 > 0:
-                nb1_vals, nb1_indptr = nb_batch(a1)
-            else:
-                nb1_vals = np.empty(0, dtype=np.uint64)
-                nb1_indptr = np.zeros(a1.size + 1, dtype=np.int64)
-            nb2_vals, nb2_indptr = nb_batch(a2)
-            mutants, tidx = enumerate_mutant_tiles_batch(
-                sub, nb1_vals, nb1_indptr, nb2_vals, nb2_indptr,
-                p.k, p.overlap,
+    # -- batched rule evaluation -------------------------------------
+    def _neighbors_within(
+        self, codes: np.ndarray, allowance: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """CSR spectrum neighbors of ``codes`` within ``allowance``
+        mismatches (self excluded), row for row the scalar walk's
+        ``_candidates`` minus the leading self entry."""
+        if allowance <= 0:
+            return (
+                np.empty(0, dtype=np.uint64),
+                np.zeros(codes.size + 1, dtype=np.int64),
             )
-            _, og_m = self.tiles.lookup(mutants)
-            d_s, n_s, g_s = evaluate_tiles_batch(
-                sub, uog[need], mutants, og_m, tidx, p.cg, p.cm, p.cr
+        vals, indptr = self._index.neighbors_batch(codes)
+        if allowance < self.params.d and vals.size:
+            rows = np.repeat(np.arange(codes.size), np.diff(indptr))
+            keep = kmer_hamming(vals, codes[rows]) <= allowance
+            vals = vals[keep]
+            indptr = np.zeros(codes.size + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(rows[keep], minlength=codes.size), out=indptr[1:]
             )
-            decisions[need] = d_s
-            new_tiles[need] = n_s
-            gated[need] = g_s
-        return utiles, decisions, new_tiles, gated, uog
+        return vals, indptr
 
-    def _seed_memo(self, rules, d1: int) -> None:
-        """Install bulk-evaluated rules into the memo cache.
+    def _bulk_rules(self, tiles: np.ndarray, og: np.ndarray, d1: int):
+        """Vectorized Algorithm-1 rules for unique tile codes.
 
-        Only tiles with ``og < cg`` are stored — the walk never asks
-        the memo about short-circuited tiles.  Keys and rule contents
-        are exactly what the scalar path would have computed and
-        cached on first miss.
+        ``og`` holds the tiles' Og counts and ``d1`` (any allowance in
+        ``0..max(d, 1)``) bounds the first k-mer's mutations; the second
+        k-mer always gets ``params.d``.  Returns ``(decisions,
+        new_tiles, gated)`` aligned with ``tiles`` — the batched
+        equivalent of the scalar ``evaluate_tile``.
         """
-        if self._memo is None or rules is None:
-            return
-        utiles, decisions, new_tiles, gated, uog = rules
         p = self.params
-        valid_rule = TileRule(Decision.VALID)
-        insuf_rule = TileRule(Decision.INSUFFICIENT)
-        d2 = p.d
-        store = uog < p.cg
-        for t, dec, nt, g in zip(
-            utiles[store].tolist(),
-            decisions[store].tolist(),
-            new_tiles[store].tolist(),
-            gated[store].tolist(),
-        ):
-            if dec == 0:
-                rule = valid_rule
-            elif dec == 1:
-                rule = TileRule(
-                    Decision.CORRECTED,
-                    new_tile=nt,
-                    changed_positions=tile_diff_positions(
-                        t, nt, p.tile_length
-                    ),
-                    quality_gated=g,
-                )
-            else:
-                rule = insuf_rule
-            self._memo.put((t, d1, d2), rule)
+        a1 = tiles >> np.uint64(2 * (p.tile_length - p.k))
+        a2 = tiles & np.uint64((1 << (2 * p.k)) - 1)
+        nb1 = self._neighbors_within(a1, d1)
+        nb2 = self._neighbors_within(a2, p.d)
+        mutants, tidx = enumerate_mutant_tiles_batch(
+            tiles, *nb1, *nb2, p.k, p.overlap
+        )
+        _, og_m = self.tiles.lookup(mutants)
+        return evaluate_tiles_batch(
+            tiles, og, mutants, og_m, tidx, p.cg, p.cm, p.cr
+        )
 
     # -- correction ---------------------------------------------------
     def correct(self, reads: ReadSet) -> ReadSet:
         """Corrected copy of ``reads`` (convenience over :meth:`run`)."""
         return self.run(reads).reads
+
+    def _walk(self, codes, quals, validated, rules) -> ReadCorrectionStats:
+        """One tiling direction over an equal-length ``(n, L)`` block."""
+        if not self.hotpath.reference:
+            return correct_block_lockstep(
+                codes, quals, self._ctx, rules, validated
+            )
+        stats = ReadCorrectionStats()
+        for i in range(codes.shape[0]):
+            stats.merge(
+                correct_read_one_direction(
+                    codes[i],
+                    quals[i] if quals is not None else None,
+                    self._ctx,
+                    validated[i] if validated is not None else None,
+                )
+            )
+        return stats
 
     def run(
         self,
@@ -323,15 +282,10 @@ class ReptileCorrector(ChunkedCorrectorMixin):
 
         The reverse direction is realized by correcting the reverse
         complement of the (already forward-corrected) read — spectra
-        and tile tables contain both strands, so lookups agree.
+        and tile tables contain both strands, so lookups agree.  Reads
+        are walked in blocks of equal length.
         """
         p = self.params
-        if self._memo is not None:
-            # Each run reports its own memo-counter delta (harvested in
-            # correct_chunk); drop anything a prior unharvested run on
-            # this corrector left pending so deltas never bleed across
-            # runs.
-            self._memo.reset_counters()
         n_conv = 0
         if handle_ambiguous and reads.has_ambiguous().any():
             reads, conv_mask = convert_ambiguous(
@@ -346,173 +300,33 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         validated = (
             np.zeros(out.codes.shape, dtype=bool) if track_validated else None
         )
-        fw_code = fw_og = rc_code = rc_og = None
-        fw_allvalid = rc_allvalid = walk_tiles = None
-        tlen = p.tile_length
-        nwin = out.codes.shape[1] - tlen + 1
-        if self.hotpath.batch and nwin > 0 and out.n_reads:
-            # Chunk-level precompute: per-window tile codes and Og for
-            # every read, forward and reverse-complement, in a few
-            # vectorized passes (grouped by read length so the RC rows
-            # line up with each read's own reversal).  A row describes
-            # the read *as it entered the pass*: the forward rows are
-            # valid until the forward pass edits the read, the RC rows
-            # only if the forward pass left it untouched.
-            fw_code = np.zeros((out.n_reads, nwin), dtype=np.uint64)
-            fw_og = np.full((out.n_reads, nwin), -1, dtype=np.int64)
-            rc_code = np.zeros((out.n_reads, nwin), dtype=np.uint64)
-            rc_og = np.full((out.n_reads, nwin), -1, dtype=np.int64)
-            fw_allvalid = np.zeros(out.n_reads, dtype=bool)
-            rc_allvalid = np.zeros(out.n_reads, dtype=bool)
-            walk_tiles = np.zeros(out.n_reads, dtype=np.int64)
-            step = p.k - p.overlap
-            groups = []
-            for ln in np.unique(out.lengths):
-                if ln < tlen:
-                    continue
-                rows = np.flatnonzero(out.lengths == ln)
-                block = out.codes[rows, :ln]
-                w = ln - tlen + 1
-                c, o = tile_og_rows(block, self.tiles)
-                fw_code[rows, :w] = c
-                fw_og[rows, :w] = o
-                c2, o2 = tile_og_rows(
-                    reverse_complement_codes(block), self.tiles
-                )
-                rc_code[rows, :w] = c2
-                rc_og[rows, :w] = o2
-                walk = np.array(
-                    valid_walk_positions(int(ln), tlen, step), dtype=np.int64
-                )
-                walk_tiles[rows] = walk.size
-                groups.append((rows, walk, c, o, c2, o2))
-            # Bulk-evaluate Algorithm-1 rules for every canonical walk
-            # window of every read (d1 = d at position 0, d1 = 0 after
-            # a success), seed the memo with them, and screen whole
-            # reads whose every window rule is VALID: those walks are
-            # provably no-ops (see valid_walk_positions) and skip the
-            # Python loop entirely.
-            head_c, head_o, rest_c, rest_o = [], [], [], []
-            for rows, walk, c, o, c2, o2 in groups:
-                last = c.shape[1] - 1
-                # d1 = d windows: the walk head (pos 0) plus the
-                # first-level D3 targets — the shift-by-one placement
-                # tried after any canonical failure and the skip-by-a-
-                # tile resumption point — all queried with the full
-                # allowance.  Warming them too turns the common
-                # insufficient-head detour into pure memo hits.
-                hcols = np.unique(
-                    np.clip(
-                        np.concatenate(([0], walk + 1, walk + tlen)),
-                        0,
-                        last,
-                    )
-                )
-                head_c += [c[:, hcols].ravel(), c2[:, hcols].ravel()]
-                head_o += [o[:, hcols].ravel(), o2[:, hcols].ravel()]
-                if walk.size > 1:
-                    cols = walk[1:]
-                    rest_c += [c[:, cols].ravel(), c2[:, cols].ravel()]
-                    rest_o += [o[:, cols].ravel(), o2[:, cols].ravel()]
-            rules_head = rules_rest = None
-            if groups:
-                rules_head = self._bulk_rules(
-                    np.concatenate(head_c), np.concatenate(head_o), p.d
-                )
-                if rest_c:
-                    rules_rest = self._bulk_rules(
-                        np.concatenate(rest_c), np.concatenate(rest_o), 0
-                    )
-                self._seed_memo(rules_head, p.d)
-                self._seed_memo(rules_rest, 0)
-            if rules_head is not None:
-                for rows, walk, c, o, c2, o2 in groups:
-                    fw_ok = _rule_valid(rules_head, c[:, 0], o[:, 0])
-                    rc_ok = _rule_valid(rules_head, c2[:, 0], o2[:, 0])
-                    if walk.size > 1 and rules_rest is not None:
-                        cols = walk[1:]
-                        fw_ok &= _rule_valid(
-                            rules_rest, c[:, cols], o[:, cols]
-                        ).all(axis=1)
-                        rc_ok &= _rule_valid(
-                            rules_rest, c2[:, cols], o2[:, cols]
-                        ).all(axis=1)
-                    fw_allvalid[rows] = fw_ok
-                    rc_allvalid[rows] = rc_ok
-        screen = fw_allvalid is not None
-        untouched = np.ones(out.n_reads, dtype=bool)
-        # Forward (5'->3') pass over every read.
-        for i in range(out.n_reads):
-            ln = int(out.lengths[i])
-            if screen and fw_allvalid[i]:
-                # Provably all-valid walk: the read is untouched in
-                # this direction; reconstruct the walk stats and
-                # per-base provenance without running the pass.
-                n_pos = int(walk_tiles[i])
-                total.tiles_examined += n_pos
-                total.tiles_valid += n_pos
-                if validated is not None:
-                    validated[i, :ln] = True
+        rules = RuleTable(self._bulk_rules)
+        for ln in np.unique(out.lengths).tolist():
+            if ln < p.tile_length:
                 continue
-            fw = correct_read_one_direction(
-                out.codes[i, :ln],
-                out.quals[i, :ln] if out.quals is not None else None,
-                self._ctx,
-                validated[i, :ln] if validated is not None else None,
-                og_row=fw_og[i] if fw_og is not None else None,
-                code_row=fw_code[i] if fw_code is not None else None,
-            )
-            total.merge(fw)
-            if fw.bases_changed:
-                untouched[i] = False
-        # The precomputed RC rows describe the *original* reads, so
-        # forward-pass edits invalidate them.  Refresh the dirty rows
-        # from the corrected bases in one vectorized pass — then every
-        # read, edited or not, takes the row-fed fast path in reverse.
-        if rc_og is not None and not untouched.all():
-            dirty = np.flatnonzero(~untouched)
-            for ln in np.unique(out.lengths[dirty]):
-                rows = dirty[out.lengths[dirty] == ln]
-                block = out.codes[rows, :ln]
-                w = ln - tlen + 1
-                c2, o2 = tile_og_rows(
-                    reverse_complement_codes(block), self.tiles
-                )
-                rc_code[rows, :w] = c2
-                rc_og[rows, :w] = o2
-        # Reverse (3'->5') pass on each read's reverse complement.
-        for i in range(out.n_reads):
-            ln = int(out.lengths[i])
-            if screen and untouched[i] and rc_allvalid[i]:
-                n_pos = int(walk_tiles[i])
-                total.tiles_examined += n_pos
-                total.tiles_valid += n_pos
-                if validated is not None:
-                    validated[i, :ln] = True
-                continue
-            codes = out.codes[i, :ln]
-            quals = out.quals[i, :ln] if out.quals is not None else None
-            rc = reverse_complement_codes(codes.copy())
-            rq = quals[::-1].copy() if quals is not None else None
-            vrc = np.zeros(ln, dtype=bool) if validated is not None else None
-            total.merge(
-                correct_read_one_direction(
-                    rc,
-                    rq,
-                    self._ctx,
-                    vrc,
-                    og_row=rc_og[i] if rc_og is not None else None,
-                    code_row=rc_code[i] if rc_code is not None else None,
-                )
-            )
-            codes[:] = reverse_complement_codes(rc)
+            rows = np.flatnonzero(out.lengths == ln)
+            block = out.codes[rows, :ln]
+            quals = out.quals[rows, :ln] if out.quals is not None else None
+            fw_valid = rc_valid = None
             if validated is not None:
-                validated[i, :ln] |= vrc[::-1]
+                fw_valid = np.zeros(block.shape, dtype=bool)
+                rc_valid = np.zeros(block.shape, dtype=bool)
+            # Forward (5'->3'), then reverse (3'->5') on the reverse
+            # complement of the forward-corrected reads.
+            total.merge(self._walk(block, quals, fw_valid, rules))
+            rc = reverse_complement_codes(block)
+            rq = quals[:, ::-1] if quals is not None else None
+            total.merge(self._walk(rc, rq, rc_valid, rules))
+            out.codes[rows, :ln] = reverse_complement_codes(rc)
+            if validated is not None:
+                validated[rows, :ln] = fw_valid | rc_valid[:, ::-1]
         return ReptileResult(
             reads=out,
             stats=total,
             n_ambiguous_converted=n_conv,
             validated=validated,
+            rules_evaluated=rules.evaluated,
+            rules_reused=rules.reused,
         )
 
     def correct_chunk(self, reads: ReadSet) -> tuple[ReadSet, dict]:
@@ -525,21 +339,19 @@ class ReptileCorrector(ChunkedCorrectorMixin):
         """
         result = self.run(reads)
         s = result.stats
-        stats = {
+        return result.reads, {
             "tiles_examined": s.tiles_examined,
             "tiles_valid": s.tiles_valid,
             "tiles_corrected": s.tiles_corrected,
             "tiles_insufficient": s.tiles_insufficient,
             "bases_changed": s.bases_changed,
             "ambiguous_converted": result.n_ambiguous_converted,
+            # Rule-table traffic under the counter names reports and
+            # perfbench have always used; merged across workers like
+            # any other stat.
+            "hotpath.memo_hits": result.rules_reused,
+            "hotpath.memo_misses": result.rules_evaluated,
         }
-        if self._memo is not None:
-            # Per-chunk counter deltas; the parallel engine merges them
-            # across forked workers like any other stat, and telemetry
-            # exposes the totals as gauges at session close.
-            stats.update(self._memo.harvest())
-            telemetry.gauge("hotpath.memo_size", len(self._memo))
-        return result.reads, stats
 
     def correct_parallel(
         self,

@@ -9,29 +9,30 @@ read: it first tries an alternative tile placement shifted by one base
 cluster), and failing that skips past the stubborn region, leaving a
 small unvalidated gap (D3(b)).  A second pass runs over the reverse
 complement, covering the 3'→5' direction.
+
+Two implementations of the same walk live here:
+
+- :func:`correct_read_one_direction` — one read at a time, one tile
+  at a time; the scalar reference (the differential oracle);
+- :func:`correct_block_lockstep` — every read of an equal-length block
+  advances one tile per step, with per-read walk state held in arrays
+  and each step's Algorithm 1 rules resolved in one batch through a
+  :class:`RuleTable`.  Codes, stats and per-base provenance are
+  identical to the reference walk's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from ...seq.distance import kmer_hamming
 from ...seq.encoding import pack_kmer, unpack_kmer
-from ...kmer.tiles import compose_tile, split_tile
+from ...kmer.tiles import compose_tile
 from .params import ReptileParams
-from .tile_correct import (
-    OUTCOME_VALID,
-    Decision,
-    apply_tile_rule,
-    enumerate_mutant_tiles,
-    evaluate_tile,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..hotpath import TileMemoCache
+from .tile_correct import Decision, correct_tile, enumerate_mutant_tiles
 
 
 @dataclass
@@ -54,7 +55,7 @@ class ReadCorrectionStats:
 
 @dataclass
 class TilingContext:
-    """Everything the per-read walk needs, prebuilt once per dataset."""
+    """Everything the tiling walk needs, prebuilt once per dataset."""
 
     params: ReptileParams
     #: tile codes -> (Oc, Og) vectorized lookup.
@@ -64,14 +65,62 @@ class TilingContext:
     #: Allow the D3 alternative-placement / skip moves (the ablation
     #: switch: False reduces Reptile to a fixed left-to-right tiling).
     flexible: bool = True
-    #: Bounded memo of Algorithm 1 rules keyed by (tile_code, d1, d2);
-    #: None disables memoization (ablation / legacy path).
-    memo: "TileMemoCache | None" = None
-    #: Enable the batched fast path: consume chunk-precomputed per-window
-    #: (tile code, Og) rows and short-circuit ``og >= cg`` tiles before
-    #: candidate enumeration.  False preserves the legacy scalar path
-    #: instruction for instruction.
-    batch: bool = False
+
+
+#: ``(tiles, og, allowance) -> (decisions, new_tiles, gated)`` over
+#: unique tile codes; see :func:`~.tile_correct.evaluate_tiles_batch`.
+RuleEvaluator = Callable[
+    [np.ndarray, np.ndarray, int], tuple[np.ndarray, np.ndarray, np.ndarray]
+]
+
+
+class RuleTable:
+    """Algorithm 1 rules resolved so far in one run.
+
+    A rule (decision, replacement tile, quality-gate flag) is a pure
+    function of ``(tile_code, d1)`` for fixed tables and thresholds
+    (``d2`` is always ``params.d``), so each distinct key is evaluated
+    once per run and looked up by binary search after that.  Misses
+    are evaluated together, one ``evaluate`` call per allowance per
+    walk step.
+
+    ``evaluated`` counts the distinct keys evaluated, ``reused`` every
+    other lookup; their sum is the number of examined unambiguous tiles
+    with ``og < cg`` and depends only on the walk.
+    """
+
+    def __init__(self, evaluate: RuleEvaluator):
+        self._evaluate = evaluate
+        #: allowance -> (sorted tiles, decisions, new_tiles, gated)
+        self._rules: dict[int, tuple[np.ndarray, ...]] = {}
+        self.evaluated = 0
+        self.reused = 0
+
+    def resolve(
+        self, tiles: np.ndarray, og: np.ndarray, d1: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rules of ``tiles`` (with Og counts ``og``) at allowance ``d1``."""
+        known = self._rules.get(d1)
+        if known is None:
+            missing = np.ones(tiles.size, dtype=bool)
+        else:
+            idx = np.searchsorted(known[0], tiles)
+            idx = np.minimum(idx, known[0].size - 1)
+            missing = known[0][idx] != tiles
+        n_new = 0
+        if missing.any():
+            new, first = np.unique(tiles[missing], return_index=True)
+            n_new = new.size
+            parts = (new, *self._evaluate(new, og[missing][first], d1))
+            if known is not None:
+                parts = tuple(np.concatenate(p) for p in zip(known, parts))
+                order = np.argsort(parts[0], kind="stable")
+                parts = tuple(a[order] for a in parts)
+            known = self._rules[d1] = parts
+            idx = np.searchsorted(known[0], tiles)
+        self.evaluated += n_new
+        self.reused += tiles.size - n_new
+        return known[1][idx], known[2][idx], known[3][idx]
 
 
 def _candidates(ctx: TilingContext, code: int, allowance: int) -> np.ndarray:
@@ -94,56 +143,18 @@ def _try_tile(
     d1: int,
     d2: int,
     ctx: TilingContext,
-    og_pre: int | None = None,
-    code_pre: int | None = None,
 ):
-    """Run Algorithm 1 on the tile starting at ``pos``.
-
-    ``og_pre``/``code_pre`` optionally carry the chunk-precomputed Og
-    count and tile code for this window (``og_pre == -1`` marks a
-    window containing ambiguous bases); they are only passed while the
-    read is still byte-identical to the precomputed chunk matrix, so
-    using them is exact.
-    """
+    """Run Algorithm 1 on the tile starting at ``pos``; None when the
+    window holds an ambiguous base and cannot be packed."""
     p = ctx.params
     tlen = p.tile_length
-    a1: int | None = None
-    a2: int | None = None
-    if og_pre is not None:
-        # Precomputed row: og_pre >= 0 iff the window is unambiguous,
-        # which is exactly the (window >= 4).any() packability check.
-        if og_pre < 0:
-            return None
-        tile_code = int(code_pre)  # type: ignore[arg-type]
-        og_t = int(og_pre)
-    else:
-        window = codes[pos : pos + tlen]
-        if (window >= 4).any():
-            return None  # ambiguous/padded bases: cannot even pack
-        a1 = pack_kmer(window[: p.k])
-        a2 = pack_kmer(window[tlen - p.k :])
-        tile_code = compose_tile(a1, a2, p.k, p.overlap)
-        _, og_t_arr = ctx.tile_lookup(np.array([tile_code], dtype=np.uint64))
-        og_t = int(og_t_arr[0])
-
-    if ctx.batch and og_t >= p.cg:
-        # Algorithm 1's very first check is og >= cg -> VALID, and
-        # candidate enumeration has no side effects, so skipping it
-        # here is byte-identical — just much cheaper for the dominant
-        # well-supported-tile case.
-        return OUTCOME_VALID
-
-    tq = quals[pos : pos + tlen] if quals is not None else None
-
-    if ctx.memo is not None:
-        rule = ctx.memo.get((tile_code, d1, d2))
-        if rule is not None:
-            return apply_tile_rule(rule, tq, p.qm)
-
-    if a1 is None:
-        # Constituent k-mers are recoverable from the tile code alone.
-        a1, a2 = split_tile(tile_code, p.k, p.overlap)
-
+    window = codes[pos : pos + tlen]
+    if (window >= 4).any():
+        return None
+    a1 = pack_kmer(window[: p.k])
+    a2 = pack_kmer(window[tlen - p.k :])
+    tile_code = compose_tile(a1, a2, p.k, p.overlap)
+    _, og_t = ctx.tile_lookup(np.array([tile_code], dtype=np.uint64))
     cand1 = _candidates(ctx, a1, d1)
     cand2 = _candidates(ctx, a2, d2)
     mutants = enumerate_mutant_tiles(a1, a2, cand1, cand2, p.k, p.overlap)
@@ -151,41 +162,18 @@ def _try_tile(
         _, og_m = ctx.tile_lookup(mutants)
     else:
         og_m = np.empty(0, dtype=np.int64)
-    rule = evaluate_tile(
+    return correct_tile(
         tile_code=tile_code,
         mutant_tiles=mutants,
-        og_tile=og_t,
+        og_tile=int(og_t[0]),
         og_mutants=og_m,
+        tile_quals=quals[pos : pos + tlen] if quals is not None else None,
         tile_length=tlen,
         cg=p.cg,
         cm=p.cm,
         cr=p.cr,
+        qm=p.qm,
     )
-    if ctx.memo is not None:
-        ctx.memo.put((tile_code, d1, d2), rule)
-    return apply_tile_rule(rule, tq, p.qm)
-
-
-def valid_walk_positions(length: int, tile_length: int, step: int) -> list[int]:
-    """Tile placements visited by an **all-valid** walk over a read.
-
-    Mirrors the success path of :func:`correct_read_one_direction`
-    exactly: start at 0, advance by ``step`` after each valid tile,
-    clamp to the last full window, stop there.  When every one of
-    these windows has ``og >= cg`` the walk provably visits exactly
-    this sequence (every tile short-circuits to VALID, so no D3 moves
-    and no corrections occur) — which is what lets the batched fast
-    path screen whole reads without running the Python loop.
-    """
-    positions: list[int] = []
-    pos = 0
-    last = length - tile_length
-    while True:
-        pos = min(pos, last)
-        positions.append(pos)
-        if pos == last:
-            return positions
-        pos += step
 
 
 def _write_tile(codes: np.ndarray, pos: int, tile_code: int, tlen: int) -> int:
@@ -201,8 +189,6 @@ def correct_read_one_direction(
     quals: np.ndarray | None,
     ctx: TilingContext,
     validated: np.ndarray | None = None,
-    og_row: np.ndarray | None = None,
-    code_row: np.ndarray | None = None,
 ) -> ReadCorrectionStats:
     """One 5'→3' tiling pass over (a mutable copy of) a read.
 
@@ -210,12 +196,6 @@ def correct_read_one_direction(
     positions covered by a validated or corrected tile are marked True
     — the per-base provenance needed to score ambiguous-base
     resolution (Table 2.4).
-
-    ``og_row``/``code_row`` optionally carry the chunk-precomputed
-    per-window Og counts and tile codes for this read (from
-    :func:`repro.kmer.tiles.tile_og_rows`).  They describe the read
-    *as it entered this pass*, so they are consulted only until the
-    first in-pass correction dirties the row.
     """
     p = ctx.params
     stats = ReadCorrectionStats()
@@ -231,7 +211,6 @@ def correct_read_one_direction(
     tried: set[tuple[int, int]] = set()
     guard = 0
     max_steps = 4 * L + 16
-    clean = ctx.batch and og_row is not None and code_row is not None
     while pos <= L - tlen and guard < max_steps:
         guard += 1
         pos = min(pos, L - tlen)
@@ -244,19 +223,7 @@ def correct_read_one_direction(
             continue
         tried.add(state)
 
-        if clean:
-            outcome = _try_tile(
-                codes,
-                quals,
-                pos,
-                d1,
-                p.d,
-                ctx,
-                og_pre=int(og_row[pos]),
-                code_pre=int(code_row[pos]),
-            )
-        else:
-            outcome = _try_tile(codes, quals, pos, d1, p.d, ctx)
+        outcome = _try_tile(codes, quals, pos, d1, p.d, ctx)
         stats.tiles_examined += 1
         if outcome is not None and outcome.decision is Decision.VALID:
             stats.tiles_valid += 1
@@ -266,8 +233,6 @@ def correct_read_one_direction(
             stats.bases_changed += _write_tile(
                 codes, pos, outcome.new_tile, tlen
             )
-            # The read no longer matches the chunk-precomputed rows.
-            clean = False
             success = True
         else:
             stats.tiles_insufficient += 1
@@ -300,4 +265,123 @@ def correct_read_one_direction(
             fail_streak = 0
             pos = pos + tlen
             d1 = p.d
+    return stats
+
+
+def correct_block_lockstep(
+    codes: np.ndarray,
+    quals: np.ndarray | None,
+    ctx: TilingContext,
+    rules: RuleTable,
+    validated: np.ndarray | None = None,
+) -> ReadCorrectionStats:
+    """One 5'→3' tiling pass over every row of an ``(n, L)`` block.
+
+    All rows advance one tile per step.  Each row's walk state (tile
+    position, leading-k-mer allowance ``d1``, D3 fail streak, tried
+    placements, step guard) mirrors :func:`correct_read_one_direction`
+    move for move, so ``codes``, ``validated`` (both edited in place)
+    and the returned stats equal a per-row run of the reference walk.
+    The reference's ``pos = min(pos, L - tlen)`` clamp is dead under
+    its loop condition and has no counterpart here.
+    """
+    p = ctx.params
+    stats = ReadCorrectionStats()
+    n, L = codes.shape
+    tlen = p.tile_length
+    last = L - tlen
+    if n == 0 or last < 0:
+        return stats
+    step = p.k - p.overlap
+    offsets = np.arange(tlen)
+    shifts = (2 * (tlen - 1 - offsets)).astype(np.uint64)
+
+    pos = np.zeros(n, dtype=np.int64)
+    d1 = np.full(n, p.d, dtype=np.int64)
+    streak = np.zeros(n, dtype=bool)
+    # d1 only takes the values 0, 1 (D3(a) on d = 0) and d.
+    tried = np.zeros((n, last + 1, max(p.d, 1) + 1), dtype=bool)
+    active = np.arange(n)
+    # Every live row takes one step per iteration, so the reference's
+    # per-read guard is the iteration count.
+    for _ in range(4 * L + 16):
+        active = active[pos[active] <= last]
+        if not active.size:
+            break
+        seen = tried[active, pos[active], d1[active]]
+        if seen.any():
+            # Same placement already attempted: skip the region (D3(b)).
+            skip = active[seen]
+            pos[skip] += tlen
+            d1[skip] = p.d
+            streak[skip] = False
+        rows = active[~seen]
+        rpos, rd1 = pos[rows], d1[rows]
+        tried[rows, rpos, rd1] = True
+
+        cols = rpos[:, None] + offsets
+        window = codes[rows[:, None], cols]
+        packable = (window < 4).all(axis=1)
+        tile = np.bitwise_or.reduce(
+            window.astype(np.uint64) << shifts, axis=1
+        )
+        og = np.full(rows.size, -1, dtype=np.int64)
+        og[packable] = ctx.tile_lookup(tile[packable])[1]
+        decision = np.full(rows.size, 2, dtype=np.uint8)  # INSUFFICIENT
+        decision[og >= p.cg] = 0  # Algorithm 1, lines 1-3: VALID
+        new_tile = np.zeros(rows.size, dtype=np.uint64)
+        gated = np.zeros(rows.size, dtype=bool)
+        need = packable & (og < p.cg)
+        for allowance in np.unique(rd1[need]).tolist():
+            sel = np.flatnonzero(need & (rd1 == allowance))
+            decision[sel], new_tile[sel], gated[sel] = rules.resolve(
+                tile[sel], og[sel], allowance
+            )
+
+        fix = np.flatnonzero(decision == 1)
+        if fix.size:
+            new_window = (
+                (new_tile[fix, None] >> shifts) & np.uint64(3)
+            ).astype(codes.dtype)
+            changed = new_window != window[fix]
+            if quals is not None:
+                # A gated correction fires only if a changed base is
+                # low-quality in this read (Algorithm 1, lines 10-15).
+                low = quals[rows[fix, None], cols[fix]] < p.qm
+                fires = ~gated[fix] | (changed & low).any(axis=1)
+                decision[fix[~fires]] = 2
+                fix, new_window, changed = (
+                    fix[fires], new_window[fires], changed[fires]
+                )
+            codes[rows[fix, None], cols[fix]] = new_window
+            stats.bases_changed += int(changed.sum())
+
+        tally = np.bincount(decision, minlength=3)
+        stats.tiles_examined += rows.size
+        stats.tiles_valid += int(tally[0])
+        stats.tiles_corrected += int(tally[1])
+        stats.tiles_insufficient += int(tally[2])
+
+        ok = decision != 2
+        if validated is not None:
+            validated[rows[ok, None], cols[ok]] = True
+        won, lost = rows[ok], rows[~ok]
+        pos[won] += step
+        d1[won] = 0
+        streak[won] = False
+        if not ctx.flexible:
+            # Fixed-tiling ablation: march on regardless.
+            pos[lost] += step
+            d1[lost] = p.d
+            continue
+        # D3(a): shift by a base, leading k-mer allowed one mutation.
+        shift = lost[~streak[lost]]
+        # D3(b): give up on the region and resume past it.
+        give_up = lost[streak[lost]]
+        pos[shift] += 1
+        d1[shift] = np.maximum(d1[shift], 1)
+        streak[shift] = True
+        pos[give_up] += tlen
+        d1[give_up] = p.d
+        streak[give_up] = False
     return stats

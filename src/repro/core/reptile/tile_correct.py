@@ -42,10 +42,10 @@ class TileRule:
     ``correct_tile`` is a pure function of ``(tile_code, d1, d2)``
     *except* for the per-instance quality gate on lines 10-15 (a
     correction only fires if one of the changed bases is low-quality
-    in this particular read).  Splitting the decision into a memoizable
-    rule plus :func:`apply_tile_rule` is what makes the correction memo
-    cache sound: the rule is cached, the gate is re-applied per
-    instance.
+    in this particular read).  Splitting the decision into a rule plus
+    :func:`apply_tile_rule` is what lets the lockstep walk's per-run
+    rule table evaluate each ``(tile_code, d1)`` once: the rule is
+    shared, the gate is re-applied per instance.
     """
 
     decision: Decision

@@ -183,12 +183,18 @@ class ShardClientPool:
     or receive failure closes the connection and retries against the
     *current* routing table — which the coordinator refreshes after
     respawning a dead worker — with short deterministic backoff.
+
+    ``call_timeout`` bounds every send and receive on an open
+    connection, so an owner that accepts but never answers (or stops
+    mid-frame) fails into the same close-and-retry loop and finally
+    raises :class:`ShardLookupError` instead of blocking forever.
     """
 
     def __init__(
         self,
         routes: dict[int, tuple[str, int]],
         connect_timeout: float = 10.0,
+        call_timeout: float = 60.0,
         retries: int = 4,
         backoff: float = 0.05,
         sleep: Callable[[float], None] = time.sleep,
@@ -197,6 +203,7 @@ class ShardClientPool:
         self._conns: dict[int, socket.socket] = {}
         self._lock = threading.Lock()
         self.connect_timeout = connect_timeout
+        self.call_timeout = call_timeout
         self.retries = retries
         self.backoff = backoff
         self._sleep = sleep
@@ -221,7 +228,7 @@ class ShardClientPool:
         conn = socket.create_connection(
             tuple(addr), timeout=self.connect_timeout
         )
-        conn.settimeout(None)
+        conn.settimeout(self.call_timeout)
         return conn
 
     def lookup(self, shard_id: int, codes: np.ndarray) -> np.ndarray:
@@ -241,9 +248,10 @@ class ShardClientPool:
                 )
                 reply = recv_msg(conn)
             except (ConnectionError, OSError, ValueError) as e:
-                # The owner may be mid-respawn: retry against whatever
-                # the routing table says *now* (accounted by callers
-                # via the router's rpc_retries counter).
+                # The owner may be mid-respawn or stalled past the call
+                # timeout (socket.timeout is an OSError): retry against
+                # whatever the routing table says *now* (accounted by
+                # callers via the router's rpc_retries counter).
                 if conn is not None:
                     conn.close()
                 last = e
@@ -298,7 +306,7 @@ class ShardRouter:
             self.counters[name] = self.counters.get(name, 0) + int(n)
 
     def harvest(self) -> dict[str, int]:
-        """Counter deltas since the previous harvest (memo-cache style)."""
+        """Counter deltas since the previous harvest."""
         out = {}
         for name, total in self.counters.items():
             delta = total - self._harvested.get(name, 0)

@@ -41,7 +41,6 @@ from .tiles import (
     compose_tile,
     compose_tiles_batch,
     split_tile,
-    tile_og_rows,
     tile_table_from_reads,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "PrecomputedNeighborIndex",
     "xor_patterns",
     "TileTable",
-    "tile_og_rows",
     "tile_table_from_reads",
     "compose_tile",
     "compose_tiles_batch",

@@ -96,3 +96,19 @@ class MaskedKmerIndex:
         if not include_self:
             keep &= cand != code_u
         return cand[keep]
+
+    def neighbors_batch(
+        self, codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(values, indptr)`` of :meth:`neighbors` for many codes
+        (row ``i`` is ``values[indptr[i]:indptr[i+1]]``)."""
+        rows = [
+            self.neighbors(code)
+            for code in np.asarray(codes, dtype=np.uint64).ravel().tolist()
+        ]
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([r.size for r in rows], out=indptr[1:])
+        values = (
+            np.concatenate(rows) if rows else np.empty(0, dtype=np.uint64)
+        )
+        return values, indptr

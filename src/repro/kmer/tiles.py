@@ -153,39 +153,6 @@ class TileTable:
         return int(np.quantile(self.og, 1.0 - fraction))
 
 
-def tile_og_rows(
-    block: np.ndarray, table: TileTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched per-window tile codes and Og counts for a code block.
-
-    ``block`` is an ``(n, L)`` matrix of 2-bit base codes (values >= 4
-    mark ambiguous bases).  Returns ``(tile_codes, og)``, both of shape
-    ``(n, L - tile_length + 1)``: every window position of every row is
-    packed and looked up in one vectorized pass.  Windows touching an
-    ambiguous base get ``og = -1`` (their tile code is meaningless and
-    must not be consulted).
-
-    This is the chunk-level kernel behind the batched tiling walk: the
-    scalar path packs and looks up one tile at a time inside the
-    per-read Python loop; this computes the same numbers for a whole
-    chunk up front.
-    """
-    tlen = table.tile_length
-    block = np.asarray(block)
-    n, width = block.shape
-    if width - tlen + 1 <= 0:
-        return (
-            np.empty((n, 0), dtype=np.uint64),
-            np.empty((n, 0), dtype=np.int64),
-        )
-    valid = valid_kmer_mask(block, tlen)
-    safe = np.where(block < 4, block, 0)
-    codes = kmer_codes_from_reads(safe, tlen)
-    _, og = table.lookup(codes)
-    og = np.where(valid, og, -1)
-    return codes, og
-
-
 def tile_table_from_reads(
     reads: ReadSet,
     k: int,

@@ -26,10 +26,9 @@ keyed by everything that determines the fitted structures:
 - **Fork-safe COW handoff.** Entries are never mutated after insert;
   forked correction workers inherit the arrays copy-on-write exactly
   like the parallel engine's ``_WORKER_STATE`` handoff, so a pool hit
-  costs no copying.  (The per-instance tile memo cache warms across
-  jobs in the serving process — its exactness contract is
-  per-decision, so results stay byte-identical; see
-  docs/performance.md.)
+  costs no copying.  (Reptile's rule table lives inside one
+  correction run, so nothing on a pooled corrector changes between
+  jobs; see docs/performance.md.)
 
 Hit/miss/evict counters feed job reports and ``GET /v1/metrics``.
 """

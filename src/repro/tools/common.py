@@ -18,7 +18,6 @@ All four tools compose their parsers from the same flag groups:
 from __future__ import annotations
 
 import argparse
-import sys
 from contextlib import contextmanager
 
 from .. import telemetry
@@ -33,7 +32,6 @@ __all__ = [
     "add_reliability_flags",
     "policy_from_args",
     "telemetry_session",
-    "deprecation_note",
 ]
 
 
@@ -175,12 +173,3 @@ def telemetry_session(args: argparse.Namespace, tool: str,
         if tel is not None and report_path:
             path = tel.report(argv=argv).write(report_path)
             print(f"wrote run report to {path}")
-
-
-def deprecation_note(old: str, new: str) -> None:
-    """One-line stderr nudge from a legacy entry point to the new CLI."""
-    print(
-        f"note: `{old}` is deprecated; use `{new}` "
-        "(same flags, one unified CLI)",
-        file=sys.stderr,
-    )

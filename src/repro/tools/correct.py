@@ -8,8 +8,7 @@ parallel engine's chunk loop (serial in-process at ``--workers 1``),
 so serial and parallel runs report identical counters and produce
 bitwise-identical output.
 
-Run as ``python -m repro correct …``; the legacy
-``python -m repro.tools.correct`` module entry point still works.
+Run as ``python -m repro correct …``.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from .common import (
     add_parallel_flags,
     add_telemetry_flags,
     backend_from_args,
-    deprecation_note,
     memory_size,
-    positive_int,
     telemetry_session,
 )
 
@@ -73,45 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--tmp-dir", type=Path, default=None,
         help="directory for spill files (default: system temp)",
     )
-    h = p.add_argument_group(
-        "hot-path ablation",
-        "Both fast paths are exact (byte-identical output); these "
-        "switches exist for perf ablation and debugging. See "
-        "docs/performance.md.",
-    )
-    h.add_argument(
-        "--no-batch-kernels", action="store_true",
-        help="disable the chunk-batched tile precompute and the "
-             "og>=cg short-circuit (legacy per-tile scalar path)",
-    )
-    h.add_argument(
-        "--no-memo-cache", action="store_true",
-        help="disable the bounded (tile, d1, d2) -> rule memo cache",
-    )
-    h.add_argument(
-        "--memo-capacity", type=positive_int, default=None, metavar="N",
-        help="memo cache entries per worker before bulk eviction "
-             "(default 1048576)",
-    )
     add_parallel_flags(p)
     add_reliability_flags(p)
     add_telemetry_flags(p)
     return p
-
-
-def hotpath_from_args(args: argparse.Namespace):
-    """Build the :class:`~repro.core.hotpath.HotpathConfig` selected by
-    the ablation flags."""
-    from ..core.hotpath import HotpathConfig
-
-    extra = {}
-    if getattr(args, "memo_capacity", None) is not None:
-        extra["memo_capacity"] = args.memo_capacity
-    return HotpathConfig(
-        batch=not getattr(args, "no_batch_kernels", False),
-        memo=not getattr(args, "no_memo_cache", False),
-        **extra,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,7 +167,6 @@ def _run_stream(args: argparse.Namespace, tel) -> int:
         genome_length_estimate=args.genome_length,
     )
     k_final = args.k if args.k is not None else sel_params.k
-    hotpath = hotpath_from_args(args)
     with telemetry.span("fit", method=args.method, k=k_final):
         spec_acc = SpectrumAccumulator(
             k_final,
@@ -246,7 +207,7 @@ def _run_stream(args: argparse.Namespace, tel) -> int:
 
             params = replace(params, k=args.k)
         corrector = ReptileCorrector(
-            params=params, spectrum=spectrum, tiles=tiles, hotpath=hotpath
+            params=params, spectrum=spectrum, tiles=tiles
         )
     spill = sum(acc.spill_bytes for acc in accs)
     tel.registry.gauge("spill_bytes", spill)
@@ -340,7 +301,6 @@ def _run(args: argparse.Namespace, tel) -> int:
                 reads,
                 k=args.k,
                 genome_length=args.genome_length,
-                hotpath=hotpath_from_args(args),
             )
         if supports_chunking(corrector):
             # The chunk loop is bitwise identical to whole-set
@@ -425,8 +385,3 @@ def _run(args: argparse.Namespace, tel) -> int:
             f"specificity={m.specificity:.5f} EBA={m.eba:.4f}"
         )
     return 0
-
-
-if __name__ == "__main__":
-    deprecation_note("python -m repro.tools.correct", "python -m repro correct")
-    raise SystemExit(main())

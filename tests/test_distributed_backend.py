@@ -15,6 +15,7 @@ from __future__ import annotations
 import pickle
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from repro.distributed import (
     ConnectionClosed,
     LocalForkBackend,
     LocalThreadsBackend,
+    ShardClientPool,
+    ShardLookupError,
     ShardPlan,
     ShardRouter,
     create_backend,
@@ -207,6 +210,72 @@ def test_shard_router_matches_monolithic_spectrum(reptile_case):
 def test_shard_plan_round_trips_through_pickle():
     plan = ShardPlan.for_spectrum(k=13, n_shards=3)
     assert pickle.loads(pickle.dumps(plan)) == plan  # repro: noqa[REP605] -- round-tripping bytes this test just produced
+
+
+# -- shard client: bounded waits --------------------------------------------
+def _misbehaving_owner(reply: bytes | None):
+    """A loopback "shard owner" that accepts connections and reads each
+    lookup request, then sends ``reply`` (raw bytes, possibly a
+    truncated frame) or nothing, and holds the connection open.
+    Returns ``(address, stop)``."""
+    srv = socket.create_server(("127.0.0.1", 0))
+    srv.settimeout(0.05)
+    stop = threading.Event()
+    held: list[socket.socket] = []
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = srv.accept()
+            except socket.timeout:
+                continue
+            held.append(conn)
+            conn.settimeout(5.0)
+            try:
+                recv_msg(conn)
+                if reply is not None:
+                    conn.sendall(reply)
+            except (ConnectionError, OSError):
+                continue
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+
+    def shutdown():
+        stop.set()
+        thread.join(timeout=5.0)
+        for conn in held:
+            conn.close()
+        srv.close()
+        assert not thread.is_alive()
+
+    return srv.getsockname()[:2], shutdown
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        pytest.param(None, id="stalled"),
+        # Header promises 64 body bytes; only 5 arrive.
+        pytest.param((64).to_bytes(8, "big") + b"\x80\x05abc", id="truncated"),
+    ],
+)
+def test_shard_lookup_bounded_on_unresponsive_owner(reply):
+    """An owner that accepts but never completes a reply hits the
+    per-call timeout, is retried, and ends in ShardLookupError — in
+    bounded wall time, never a hang."""
+    addr, shutdown = _misbehaving_owner(reply)
+    pool = ShardClientPool(
+        {0: addr}, call_timeout=0.2, retries=1, backoff=0.01
+    )
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(ShardLookupError):
+            pool.lookup(0, np.arange(4, dtype=np.uint64))
+        assert time.monotonic() - t0 < 5.0
+    finally:
+        pool.close()
+        shutdown()
 
 
 # -- backend registry --------------------------------------------------------

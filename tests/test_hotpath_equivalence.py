@@ -1,16 +1,19 @@
-"""Differential tests: every hot-path fast path is byte-exact.
+"""Differential tests: the lockstep tiling walk is byte-exact.
 
-The batched kernels and the correction memo cache
-(:mod:`repro.core.hotpath`) are *accelerations*, not approximations — any configuration must produce output bitwise
-identical to the legacy scalar path.  These tests pin that contract
-at every level:
+The lockstep walk and its batched rule evaluation
+(:mod:`repro.core.hotpath`) are *accelerations*, not approximations —
+they must produce output bitwise identical to the scalar reference
+walk (``HotpathConfig(reference=True)``).  These tests pin that
+contract at every level:
 
 - kernel level — batched neighbor/mutant/decision kernels vs their
   scalar counterparts on randomized inputs;
-- corrector level — each fast path toggled alone and together, on the
-  committed golden corpus, Reptile and REDEEM, serial and through the
-  parallel engine at ``workers=2``;
-- CLI level — in-memory vs ``--stream``, all-on vs all-off flags.
+- corrector level — lockstep vs reference on the committed golden
+  corpus across d, overlap, flexible tiling and quality scores, on
+  variable-length reads and reads with Ns; Reptile and REDEEM, serial
+  and through the parallel engine at ``workers=2``;
+- CLI level — in-memory and ``--stream`` CLI output vs the in-process
+  reference.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import pytest
 from repro.core.api import build_corrector
 from repro.core.hotpath import HotpathConfig
 from repro.core.reptile import ReptileCorrector
-from repro.core.reptile.read_correct import valid_walk_positions
 from repro.core.reptile.tile_correct import (
     DECISION_CODES,
     enumerate_mutant_tiles,
@@ -31,7 +33,8 @@ from repro.core.reptile.tile_correct import (
     evaluate_tile,
     evaluate_tiles_batch,
 )
-from repro.io.fastq import read_fastq
+from repro.io.fastq import read_fastq, write_fastq
+from repro.io.readset import ReadSet
 from repro.kmer.neighbor_index import (
     PrecomputedNeighborIndex,
     ProbingNeighborIndex,
@@ -41,11 +44,9 @@ from repro.parallel import correct_in_parallel
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-ABLATIONS = {
-    "all_on": HotpathConfig(),
-    "batch_only": HotpathConfig(batch=True, memo=False),
-    "memo_only": HotpathConfig(batch=False, memo=True),
-}
+#: The default walk, compared against the reference below.
+ABLATIONS = {"all_on": HotpathConfig()}
+REFERENCE = HotpathConfig(reference=True)
 
 
 @pytest.fixture(scope="module")
@@ -55,9 +56,7 @@ def reptile_reads():
 
 @pytest.fixture(scope="module")
 def scalar_corrector(reptile_reads):
-    return ReptileCorrector.fit(
-        reptile_reads, hotpath=HotpathConfig.all_off()
-    )
+    return ReptileCorrector.fit(reptile_reads, hotpath=REFERENCE)
 
 
 @pytest.fixture(scope="module")
@@ -65,13 +64,14 @@ def scalar_result(scalar_corrector, reptile_reads):
     return scalar_corrector.run(reptile_reads, track_validated=True)
 
 
-def _fast_corrector(base: ReptileCorrector, hp: HotpathConfig):
-    """Same fitted tables/params as ``base``, different fast paths."""
+def _fast_corrector(base: ReptileCorrector, hp: HotpathConfig, **kw):
+    """Same fitted tables/params as ``base``, a different walk."""
     return ReptileCorrector(
         params=base.params,
         spectrum=base.spectrum,
         tiles=base.tiles,
         hotpath=hp,
+        **kw,
     )
 
 
@@ -82,8 +82,8 @@ def _fast_corrector(base: ReptileCorrector, hp: HotpathConfig):
 def test_reptile_fast_paths_byte_identical(
     name, reptile_reads, scalar_corrector, scalar_result
 ):
-    """Each acceleration alone, and all together, reproduces the scalar
-    path bit for bit: codes, stats, and per-base provenance."""
+    """The lockstep walk reproduces the scalar reference bit for bit:
+    codes, stats, and per-base provenance."""
     fast = _fast_corrector(scalar_corrector, ABLATIONS[name])
     got = fast.run(reptile_reads, track_validated=True)
     assert np.array_equal(got.reads.codes, scalar_result.reads.codes)
@@ -92,11 +92,123 @@ def test_reptile_fast_paths_byte_identical(
     assert np.array_equal(got.validated, scalar_result.validated)
 
 
+def _mixed_reads(reads: ReadSet, n: int = 300) -> ReadSet:
+    """The first ``n`` reads trimmed to lengths 20..36 (some shorter
+    than a tile), every fifth with a sparse N (converted before the
+    walk) and every seventh with a dense N run (left ambiguous)."""
+    seqs, quals = [], []
+    for i in range(n):
+        seq = list(reads.sequence(i)[: 36 - i % 17])
+        if i % 5 == 0:
+            seq[(3 * i) % len(seq)] = "N"
+        if i % 7 == 0:
+            start = (5 * i) % (len(seq) - 4)
+            seq[start : start + 4] = "NNNN"
+        seqs.append("".join(seq))
+        quals.append(reads.read_quals(i)[: len(seq)])
+    return ReadSet.from_strings(seqs, quals=quals)
+
+
+def _assert_walks_equal(base: ReptileCorrector, reads: ReadSet, **kw):
+    ref = _fast_corrector(base, REFERENCE, **kw)
+    fast = _fast_corrector(base, HotpathConfig(), **kw)
+    want = ref.run(reads, track_validated=True)
+    got = fast.run(reads, track_validated=True)
+    assert np.array_equal(got.reads.codes, want.reads.codes)
+    assert got.stats == want.stats
+    assert np.array_equal(got.validated, want.validated)
+    assert want.stats.tiles_examined > 0
+
+
+@pytest.mark.parametrize("with_quals", [True, False], ids=["quals", "noquals"])
+@pytest.mark.parametrize("flexible", [True, False], ids=["flex", "fixed"])
+@pytest.mark.parametrize("overlap", [0, 3])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_lockstep_matches_reference_grid(
+    d, overlap, flexible, with_quals, reptile_reads
+):
+    """Lockstep vs reference across the walk's parameters, on golden
+    reads with and without quality scores.  ``overlap=3`` leaves
+    ``(L - tlen) % step != 0``, where the walk never reaches the last
+    window."""
+    reads = reptile_reads.subset(np.arange(300))
+    if not with_quals:
+        reads = ReadSet(codes=reads.codes, lengths=reads.lengths)
+    base = ReptileCorrector.fit(
+        reptile_reads, neighbor_backend="probing", d=d, overlap=overlap
+    )
+    _assert_walks_equal(base, reads, flexible_tiling=flexible)
+
+
+@pytest.mark.parametrize("backend", ["precomputed", "probing", "masked"])
+def test_lockstep_matches_reference_mixed_reads(backend, reptile_reads):
+    """Variable-length reads, reads shorter than a tile, and reads
+    with converted and unconverted Ns, under every neighbor backend."""
+    base = ReptileCorrector.fit(reptile_reads, neighbor_backend=backend)
+    _assert_walks_equal(base, _mixed_reads(reptile_reads))
+
+
+@pytest.mark.parametrize("qm", [20, 30])
+def test_lockstep_matches_reference_quality_gate(qm, reptile_reads):
+    """With Og = Oc (qc=0) and cm=1 most corrections take Algorithm 1's
+    quality-gated branch, so the gate decides many tiles: the
+    vectorized gate must agree with the scalar one instance by
+    instance."""
+    reads = reptile_reads.subset(np.arange(300))
+    base = ReptileCorrector.fit(reptile_reads, qc=0, cm=1, qm=qm)
+    _assert_walks_equal(base, reads)
+
+
+def test_bulk_rules_match_scalar_rules(reptile_reads):
+    """``_bulk_rules`` at every allowance 0..d equals the scalar
+    Algorithm 1 rule built from ``_candidates`` (which filters the
+    first k-mer's neighbors to the allowance)."""
+    from repro.core.reptile.read_correct import _candidates
+
+    fast = ReptileCorrector.fit(
+        reptile_reads, neighbor_backend="probing", d=2, qc=0, cm=1
+    )
+    p = fast.params
+    windows = reptile_reads.codes[:200, : p.tile_length]
+    shifts = (2 * np.arange(p.tile_length - 1, -1, -1)).astype(np.uint64)
+    tiles = np.unique(
+        np.bitwise_or.reduce(windows.astype(np.uint64) << shifts, axis=1)
+    )
+    _, og = fast.tiles.lookup(tiles)
+    for d1 in range(p.d + 1):
+        dec, new, gated = fast._bulk_rules(tiles, og, d1)
+        for i, tile in enumerate(tiles.tolist()):
+            a1 = tile >> (2 * (p.tile_length - p.k))
+            a2 = tile & ((1 << (2 * p.k)) - 1)
+            mutants = enumerate_mutant_tiles(
+                a1,
+                a2,
+                _candidates(fast._ctx, a1, d1),
+                _candidates(fast._ctx, a2, p.d),
+                p.k,
+                p.overlap,
+            )
+            rule = evaluate_tile(
+                tile_code=tile,
+                mutant_tiles=mutants,
+                og_tile=int(og[i]),
+                og_mutants=fast.tiles.lookup(mutants)[1],
+                tile_length=p.tile_length,
+                cg=p.cg,
+                cm=p.cm,
+                cr=p.cr,
+            )
+            assert DECISION_CODES[dec[i]] is rule.decision
+            if rule.decision.name == "CORRECTED":
+                assert int(new[i]) == rule.new_tile
+                assert bool(gated[i]) == rule.quality_gated
+
+
 def test_reptile_fast_path_idempotent_across_runs(
     reptile_reads, scalar_corrector, scalar_result
 ):
-    """A warmed memo (second run on the same corrector) still matches —
-    cached rules replay, never drift."""
+    """A second run on the same corrector still matches: nothing run
+    to run leaks into the next."""
     fast = _fast_corrector(scalar_corrector, HotpathConfig())
     first = fast.run(reptile_reads)
     second = fast.run(reptile_reads)
@@ -109,7 +221,7 @@ def test_reptile_fast_path_idempotent_across_runs(
 def test_reptile_parallel_chunked_matches_scalar(
     workers, reptile_reads, scalar_corrector, scalar_result
 ):
-    """The all-on fast path through the parallel engine's chunk loop
+    """The lockstep walk through the parallel engine's chunk loop
     (serial and forked) equals the scalar whole-set run."""
     fast = _fast_corrector(scalar_corrector, HotpathConfig())
     report = correct_in_parallel(
@@ -122,23 +234,26 @@ def test_reptile_parallel_chunked_matches_scalar(
 
 
 def test_memo_counters_harvested_per_chunk(reptile_reads, scalar_corrector):
+    """Rule-table counters are reported per chunk.  The hit/miss split
+    depends on chunking (each run() has its own table), but the number
+    of lookups is fixed by the walk and equals the serial total."""
     fast = _fast_corrector(scalar_corrector, HotpathConfig())
+    serial = fast.run(reptile_reads)
     report = correct_in_parallel(
         fast, reptile_reads, workers=1, chunk_size=256
     )
     merged = report.summary()
-    assert merged["hotpath.memo_hits"] > 0
-    assert merged["hotpath.memo_misses"] >= 0
+    lookups = merged["hotpath.memo_hits"] + merged["hotpath.memo_misses"]
+    assert lookups == serial.rules_reused + serial.rules_evaluated
+    assert merged["hotpath.memo_misses"] > 0
 
 
 def test_redeem_hotpath_matches_scalar():
-    """REDEEM built through the registry with every fast path on and
-    with the scalar config corrects identically: the hot-path config
-    never changes a REDEEM base or attempt estimate."""
+    """REDEEM built through the registry with the default and the
+    reference config corrects identically: the hot-path config never
+    changes a REDEEM base or attempt estimate."""
     reads = read_fastq(GOLDEN / "redeem_reads.fastq")
-    scalar = build_corrector(
-        "redeem", reads, k=10, hotpath=HotpathConfig.all_off()
-    )
+    scalar = build_corrector("redeem", reads, k=10, hotpath=REFERENCE)
     fast = build_corrector("redeem", reads, k=10, hotpath=HotpathConfig())
     assert np.array_equal(
         scalar.correct(reads).codes, fast.correct(reads).codes
@@ -146,26 +261,17 @@ def test_redeem_hotpath_matches_scalar():
     assert np.array_equal(scalar.T, fast.T)
 
 
-# -- CLI-level differentials (in-memory vs --stream, flags) -----------
-
-ALL_OFF_FLAGS = ["--no-batch-kernels", "--no-memo-cache"]
+# -- CLI-level differentials (in-memory vs --stream) -------------------
 
 
 @pytest.fixture(scope="module")
 def cli_reference(tmp_path_factory):
-    """Scalar in-memory CLI output on the golden corpus."""
-    from repro.tools.correct import main as correct_main
-
+    """The in-process reference walk's output on the golden corpus,
+    written the way the CLI writes it."""
+    reads = read_fastq(GOLDEN / "reptile_reads.fastq")
+    corrector = build_corrector("reptile", reads, hotpath=REFERENCE)
     out = tmp_path_factory.mktemp("hotpath-cli") / "ref.fastq"
-    rc = correct_main(
-        [
-            str(GOLDEN / "reptile_reads.fastq"),
-            str(out),
-            "--chunk-size", "200",
-            *ALL_OFF_FLAGS,
-        ]
-    )
-    assert rc == 0
+    write_fastq(corrector.correct(reads), out)
     return out.read_bytes()
 
 
@@ -174,7 +280,6 @@ def cli_reference(tmp_path_factory):
     [
         pytest.param([], id="memory-all-on"),
         pytest.param(["--stream"], id="stream-all-on"),
-        pytest.param(["--stream", *ALL_OFF_FLAGS], id="stream-all-off"),
         pytest.param(["--stream", "--workers", "2"], id="stream-workers2"),
     ],
 )
@@ -324,15 +429,3 @@ def test_evaluate_tiles_batch_matches_scalar():
             if rule.decision.name == "CORRECTED":
                 assert int(new[i]) == rule.new_tile
                 assert bool(gated[i]) == rule.quality_gated
-
-
-def test_valid_walk_positions_mirror_walk():
-    """The closed-form all-valid walk sequence: starts at 0, advances
-    by the step, clamps at the final window, visits it exactly once."""
-    assert valid_walk_positions(36, 24, 12) == [0, 12]
-    assert valid_walk_positions(24, 24, 12) == [0]
-    assert valid_walk_positions(100, 24, 12) == [0, 12, 24, 36, 48, 60, 72, 76]
-    for length in range(24, 60):
-        pos = valid_walk_positions(length, 24, 12)
-        assert pos[0] == 0 and pos[-1] == length - 24
-        assert all(b > a for a, b in zip(pos, pos[1:]))
