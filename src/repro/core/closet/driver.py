@@ -15,8 +15,9 @@ mapreduce 1,667 from the same 2,926 confirmed edges):
 
 - ``backend='plain'`` — vectorized single-process reference;
 - ``backend='mapreduce'`` — the Task 1–8 pipeline of Sec. 4.4 on the
-  local MapReduce engine (optionally multiprocess), with per-stage
-  wall times recorded (Table 4.3's rows).
+  local MapReduce engine (optionally multiprocess, every job on one
+  warm worker pool), with per-stage wall times recorded (Table 4.3's
+  rows).
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ import hashlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ... import telemetry
 from ...io.readset import ReadSet
-from ...mapreduce import CheckpointStore, RetryPolicy, run_task
+from ...mapreduce import CheckpointStore, MapReduceTask, RetryPolicy, run_task, worker_pool
 from .quasiclique import QuasiCliqueClusterer
-from .similarity import read_hash_sets
+from .similarity import HashSetTable, read_hash_sets
 from .sketch import EdgeConstructionResult, SketchParams, build_edges
 from . import tasks as T
 
@@ -121,9 +123,16 @@ class ClosetClusterer:
         if backend == "plain":
             return self._run_plain(reads, thresholds)
         if backend == "mapreduce":
-            return self._run_mapreduce(
-                reads, thresholds, n_workers, policy, checkpoint_dir
-            )
+            with worker_pool(n_workers) as pool:
+
+                def job(task: MapReduceTask, inputs: list) -> list:
+                    # The module-level run_task, once per job: tracers wrap it.
+                    return run_task(
+                        task, inputs, n_workers=n_workers, policy=policy,
+                        backend=pool,
+                    )
+
+                return self._run_mapreduce(reads, thresholds, job, checkpoint_dir)
         raise ValueError(f"unknown backend {backend!r}")
 
     # -- plain backend -------------------------------------------------
@@ -175,10 +184,10 @@ class ClosetClusterer:
         self,
         reads: ReadSet,
         thresholds: list[float],
-        n_workers: int,
-        policy: RetryPolicy | None = None,
+        job: Callable[[MapReduceTask, list], list],
         checkpoint_dir: str | None = None,
     ) -> ClosetResult:
+        """Tasks 1-8, each MapReduce job run through ``job``."""
         p = self.params
         sk = p.sketch
         stage: dict[str, float] = {}
@@ -207,18 +216,9 @@ class ClosetClusterer:
                 pair_outputs = []
                 n_predicted = 0
                 for l in range(sk.rounds):
-                    groups = run_task(
-                        T.task_sketch_selection(sk.modulus, l, sk.cmax),
-                        read_inputs,
-                        n_workers=n_workers,
-                        policy=policy,
-                    )
-                    pairs = run_task(
-                        T.task_edge_generation(),
-                        groups,
-                        n_workers=n_workers,
-                        policy=policy,
-                    )
+                    task = T.task_sketch_selection(sk.modulus, l, sk.cmax)
+                    groups = job(task, read_inputs)
+                    pairs = job(T.task_edge_generation(), groups)
                     n_predicted += len(pairs)
                     pair_outputs.extend(pairs)
                     telemetry.tick(
@@ -226,25 +226,12 @@ class ClosetClusterer:
                     )
 
             with _stage(stage, "validation"):
-                directed = run_task(
-                    T.task_redundant_removal(),
-                    pair_outputs,
-                    n_workers=n_workers,
-                    policy=policy,
-                )
-                n_unique = len(directed) // 2
-                joined = run_task(
-                    T.task_data_aggregation(),
-                    read_inputs + directed,
-                    n_workers=n_workers,
-                    policy=policy,
-                )
-                validated = run_task(
-                    T.task_edge_validation(floor),
-                    joined,
-                    n_workers=n_workers,
-                    policy=policy,
-                )
+                directed = job(T.task_redundant_removal(), pair_outputs)
+                n_unique = len(directed)
+                joined = job(T.task_data_aggregation(), directed)
+                table = HashSetTable(hash_sets)
+                validated = job(T.task_edge_validation(table, floor), joined)
+                validated.sort()  # (i, j) order, as the plain backend
             if store is not None:
                 store.save(
                     "closet-edges",
@@ -258,12 +245,8 @@ class ClosetClusterer:
                     seconds=stage["sketching"] + stage["validation"],
                 )
 
-        if validated:
-            edges = np.array([pair for pair, _ in validated], dtype=np.int64)
-            sims = np.array([s for _, s in validated], dtype=np.float64)
-        else:
-            edges = np.empty((0, 2), dtype=np.int64)
-            sims = np.empty(0, dtype=np.float64)
+        edges = np.array([e for e, _ in validated], dtype=np.int64).reshape(-1, 2)
+        sims = np.array([s for _, s in validated], dtype=np.float64)
         edge_result = EdgeConstructionResult(
             edges=edges,
             similarities=sims,
@@ -282,11 +265,9 @@ class ClosetClusterer:
         n_processed = 0
         for t in thresholds:
             with _stage(stage, "filtering"):
-                filtered = run_task(
+                filtered = job(
                     T.task_edge_filtering(t),
                     list(zip(map(tuple, edges.tolist()), sims.tolist())),
-                    n_workers=n_workers,
-                    policy=policy,
                 )
 
             with _stage(stage, "clustering"):
@@ -300,18 +281,8 @@ class ClosetClusterer:
                 n_processed += len(new_edges)
                 for _ in range(p.merge_iterations):
                     inputs = [(f"c{idx}", es) for idx, es in enumerate(state)]
-                    merged = run_task(
-                        T.task_quasiclique_merge(p.gamma_at(t)),
-                        inputs,
-                        n_workers=n_workers,
-                        policy=policy,
-                    )
-                    deduped = run_task(
-                        T.task_cluster_dedup(),
-                        merged,
-                        n_workers=n_workers,
-                        policy=policy,
-                    )
+                    merged = job(T.task_quasiclique_merge(p.gamma_at(t)), inputs)
+                    deduped = job(T.task_cluster_dedup(), merged)
                     new_state = [es for _, es in deduped]
                     n_processed += len(new_state)
                     if sorted(new_state) == sorted(state):

@@ -9,6 +9,9 @@ The framework accepts any pairwise similarity; two are provided:
 - :func:`banded_alignment_identity` — an optional alignment-based F
   (banded Needleman-Wunsch identity) for validation experiments.
 
+:class:`HashSetTable` scores many pairs at once, bit for bit as
+:func:`kmer_containment` does; edge validation runs it.
+
 Hashing uses a splitmix64-style integer finalizer, vectorized over
 packed k-mer codes.
 """
@@ -67,6 +70,58 @@ def kmer_containment(h_a: np.ndarray, h_b: np.ndarray) -> float:
     return intersect_size_sorted(h_a, h_b) / denom
 
 
+class HashSetTable:
+    """Every read's hash set as dense ids in one flat CSR array.
+
+    Read ``i``'s ids are ``ids[offsets[i]:offsets[i + 1]]``, ascending;
+    equal ids mean equal hashes.  Built once per read set and shipped
+    read-only to the validation reducers (Hadoop's distributed cache),
+    it scores a read against all its partners in one numpy pass.  Its
+    marker buffer is reused across calls: one table per thread.
+    """
+
+    def __init__(self, hash_sets: list[np.ndarray]):
+        sizes = [h.size for h in hash_sets]
+        self.offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        flat = np.concatenate([np.empty(0, dtype=np.uint64), *hash_sets])
+        universe, self.ids = np.unique(flat, return_inverse=True)
+        self.n_ids = universe.size
+        self._mark: np.ndarray | None = None
+
+    def containment(self, rid: int, partners) -> np.ndarray:
+        """``kmer_containment(H_rid, H_p)`` for each ``p``, bit for bit.
+
+        Marks ``rid``'s ids, gathers all partners' ids back to back and
+        sums the marks per partner run; the quotient is the oracle's
+        integer division.
+        """
+        partners = np.asarray(partners, dtype=np.int64)
+        starts = self.offsets[partners]
+        sizes = self.offsets[partners + 1] - starts
+        ends = np.cumsum(sizes)
+        gather = np.arange(ends[-1] if ends.size else 0)
+        gather += np.repeat(starts - ends + sizes, sizes)
+        if self._mark is None:
+            self._mark = np.zeros(self.n_ids, dtype=bool)
+        own = self.ids[self.offsets[rid] : self.offsets[rid + 1]]
+        self._mark[own] = True
+        hits = np.concatenate([[0], np.cumsum(self._mark[self.ids[gather]])])
+        self._mark[own] = False
+        denom = np.minimum(sizes, own.size)
+        out = np.zeros(partners.size, dtype=np.float64)
+        return np.divide(hits[ends] - hits[ends - sizes], denom, out=out, where=denom > 0)
+
+    def pair_containment(self, pairs) -> np.ndarray:
+        """Containment of each row of an ``(E, 2)`` pair array."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        out = np.empty(pairs.shape[0], dtype=np.float64)
+        order = np.argsort(pairs[:, 0], kind="stable")
+        rids, firsts = np.unique(pairs[order, 0], return_index=True)
+        for rid, rows in zip(rids.tolist(), np.split(order, firsts[1:])):
+            out[rows] = self.containment(rid, pairs[rows, 1])
+        return out
+
+
 def banded_alignment_identity(
     codes_a: np.ndarray, codes_b: np.ndarray, band: int = 32
 ) -> float:
@@ -106,9 +161,4 @@ def pairwise_similarity_matrix(
     reads: ReadSet, k: int, pairs: np.ndarray
 ) -> np.ndarray:
     """``kmer_containment`` evaluated on an ``(E, 2)`` pair index array."""
-    hsets = read_hash_sets(reads, k)
-    pairs = np.atleast_2d(np.asarray(pairs, dtype=np.int64))
-    out = np.empty(pairs.shape[0], dtype=np.float64)
-    for e in range(pairs.shape[0]):
-        out[e] = kmer_containment(hsets[pairs[e, 0]], hsets[pairs[e, 1]])
-    return out
+    return HashSetTable(read_hash_sets(reads, k)).pair_containment(pairs)

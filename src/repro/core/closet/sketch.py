@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...io.readset import ReadSet
-from .similarity import kmer_containment, read_hash_sets
+from .similarity import HashSetTable, read_hash_sets
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,10 @@ class SketchParams:
     cmax: int = 64
     #: Candidate threshold on the sketch similarity estimate.
     cmin: float = 0.6
+
+    def __post_init__(self) -> None:
+        if min(self.modulus, self.rounds) < 1:
+            raise ValueError(f"modulus and rounds must be >= 1: {self}")
 
 
 @dataclass
@@ -121,15 +125,13 @@ def build_edges(
     """Run Algorithm 3: sketch rounds, dedup, exact validation.
 
     ``threshold`` defaults to ``params.cmin``; ``similarity_fn(h_i,
-    h_j)`` defaults to the k-mer containment score (the thesis notes
-    the sketch-based function is accurate enough to use directly, so
-    line 18's external F is optional — pass any callable over hash
-    sets to override).
+    h_j)`` defaults to the k-mer containment score, batched per read
+    through :class:`HashSetTable` (the thesis notes the sketch-based
+    function is accurate enough to use directly, so line 18's external
+    F is optional — pass any callable over hash sets to override).
     """
     if threshold is None:
         threshold = params.cmin
-    if similarity_fn is None:
-        similarity_fn = kmer_containment
     if hash_sets is None:
         hash_sets = read_hash_sets(reads, params.k)
 
@@ -149,10 +151,14 @@ def build_edges(
     else:
         unique_pairs = np.empty((0, 2), dtype=np.int64)
 
-    sims = np.empty(unique_pairs.shape[0], dtype=np.float64)
-    for e in range(unique_pairs.shape[0]):
-        i, j = int(unique_pairs[e, 0]), int(unique_pairs[e, 1])
-        sims[e] = similarity_fn(hash_sets[i], hash_sets[j])
+    if similarity_fn is None:
+        sims = HashSetTable(hash_sets).pair_containment(unique_pairs)
+    else:
+        pairs = unique_pairs.tolist()
+        sims = np.array(
+            [similarity_fn(hash_sets[i], hash_sets[j]) for i, j in pairs],
+            dtype=np.float64,
+        )
     keep = sims >= threshold
     return EdgeConstructionResult(
         edges=unique_pairs[keep],

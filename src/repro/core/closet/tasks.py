@@ -8,16 +8,22 @@ key/value pairs:
    reducer groups rIDs per hash, postponing groups above Cmax.
 2. **edge generation** — hash groups → candidate (i, j) pairs; the
    reducer counts shared sketch hashes and keeps pairs at Cmin.
-3. **redundant edge removal** — dedup, emit both directions.
-4. **data aggregation** — join read hash sets with their edge lists.
-5. **edge validation** — exact similarity per pair, threshold at t.
+3. **redundant edge removal** — dedup; each unique pair (i, j), i < j,
+   is emitted once as (i, (j, count)), keyed by its smaller read.
+4. **data aggregation** — group each read's partners: (i, (j, ...)).
+5. **edge validation** — exact similarity of a read against its whole
+   partner list, threshold at t: ((i, j), similarity).
 6. **edge filtering** — keep edges at the current threshold t_k.
 7. **quasi-clique merging** — edges + prior clusters → merged
    candidates (γ density check).
 8. **cluster dedup** — merge clusters sharing the same vertex set.
 
 Mappers/reducers close over parameters via ``functools.partial`` so
-the multiprocess engine can pickle them.
+the multiprocess engine can pickle them.  Task 5's reducer closes over
+a :class:`~repro.core.closet.similarity.HashSetTable` of every read's
+hash set, built once per clustering (Hadoop's distributed cache), so no
+record carries a hash set.  Keys are plain Python ints and tuples: the
+shuffle partitions by ``repr(key)``, which differs for numpy scalars.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from functools import partial
 
 import numpy as np
 
-from ...mapreduce import MapReduceTask
-from .similarity import kmer_containment
+from ...mapreduce import MapReduceTask, identity_mapper
+from .similarity import HashSetTable
 
 _REM = "__postponed__"
 
@@ -82,69 +88,44 @@ def task_edge_generation() -> MapReduceTask:
 
 
 # -- Task 3: redundant edge removal -------------------------------------------
-def dedup_mapper(pair, count):
-    yield pair, count
-
-
 def dedup_reducer(pair, counts):
-    # Emit both directed copies so Task 4 can join per source vertex.
+    # Keyed by the smaller read so Task 4 can group partners per read.
     i, j = pair
-    total = sum(counts)
-    yield i, (j, total)
-    yield j, (i, total)
+    yield i, (j, sum(counts))
 
 
 def task_redundant_removal() -> MapReduceTask:
     return MapReduceTask(
-        name="dedup-edges", mapper=dedup_mapper, reducer=dedup_reducer
+        name="dedup-edges", mapper=identity_mapper, reducer=dedup_reducer
     )
 
 
 # -- Task 4/5: aggregation + validation -----------------------------------------
-def aggregate_mapper(key, value):
-    yield key, value
-
-
 def aggregate_reducer(rid, values):
-    """Join the read's hash set with its partner list."""
-    hashes = None
-    partners = []
-    for v in values:
-        if isinstance(v, np.ndarray):
-            hashes = v
-        else:
-            partners.append(v[0])
-    if hashes is None:
-        return
-    yield rid, (hashes, tuple(sorted(set(partners))))
+    """Collect the read's partners into one sorted tuple."""
+    yield rid, tuple(sorted({j for j, _count in values}))
 
 
 def task_data_aggregation() -> MapReduceTask:
     return MapReduceTask(
-        name="aggregate", mapper=aggregate_mapper, reducer=aggregate_reducer
+        name="aggregate", mapper=identity_mapper, reducer=aggregate_reducer
     )
 
 
-def validation_mapper(rid, value):
-    hashes, partners = value
-    for p in partners:
-        key = (min(rid, p), max(rid, p))
-        yield key, hashes
+def validation_reducer(rid, partner_lists, table, threshold):
+    """Score the read against every partner in one table pass."""
+    partners = sorted({p for ps in partner_lists for p in ps})
+    sims = table.containment(rid, partners)
+    for p, sim in zip(partners, sims.tolist()):
+        if sim >= threshold:
+            yield (rid, p), sim
 
 
-def validation_reducer(pair, hash_sets, threshold):
-    if len(hash_sets) != 2:
-        return
-    sim = kmer_containment(hash_sets[0], hash_sets[1])
-    if sim >= threshold:
-        yield pair, sim
-
-
-def task_edge_validation(threshold: float) -> MapReduceTask:
+def task_edge_validation(table: HashSetTable, threshold: float) -> MapReduceTask:
     return MapReduceTask(
         name="validate",
-        mapper=validation_mapper,
-        reducer=partial(validation_reducer, threshold=threshold),
+        mapper=identity_mapper,
+        reducer=partial(validation_reducer, table=table, threshold=threshold),
     )
 
 
@@ -168,8 +149,8 @@ def task_edge_filtering(threshold: float) -> MapReduceTask:
 
 # -- Task 7/8: quasi-clique merging -----------------------------------------
 def clique_mapper(key, value):
-    """Route every cluster (edge set) via each member vertex so
-    clusters sharing a vertex meet at one reducer."""
+    """Route every cluster (edge set) to its smallest vertex, so
+    clusters anchored at the same vertex meet at one reducer."""
     edges = value  # tuple of (i, j) edges
     verts = sorted({v for e in edges for v in e})
     anchor = verts[0]
@@ -210,10 +191,6 @@ def task_quasiclique_merge(gamma: float) -> MapReduceTask:
     )
 
 
-def vertexset_dedup_mapper(vertex_key, edges):
-    yield vertex_key, edges
-
-
 def vertexset_dedup_reducer(vertex_key, edge_sets):
     union: set = set()
     for es in edge_sets:
@@ -224,6 +201,6 @@ def vertexset_dedup_reducer(vertex_key, edge_sets):
 def task_cluster_dedup() -> MapReduceTask:
     return MapReduceTask(
         name="cluster-dedup",
-        mapper=vertexset_dedup_mapper,
+        mapper=identity_mapper,
         reducer=vertexset_dedup_reducer,
     )

@@ -11,7 +11,7 @@ from .pipeline import (
     chain_fingerprint,
     fingerprint_data,
 )
-from .reliable import call_with_retries, run_task_reliable
+from .reliable import call_with_retries, run_task_reliable, worker_pool
 from .types import (
     Counters,
     FatalTaskError,
@@ -32,6 +32,7 @@ __all__ = [
     "identity_reducer",
     "run_task",
     "run_task_reliable",
+    "worker_pool",
     "call_with_retries",
     "stable_partition",
     "SpilledPartition",

@@ -10,16 +10,18 @@ list of key/value pairs, with
   map/shuffle/reduce dataflow a Hadoop cluster provides, at
   process-pool scale (see DESIGN.md substitutions).
 
+The multiprocess mode runs on :mod:`repro.mapreduce.reliable`, with a
+:class:`~repro.mapreduce.types.RetryPolicy`'s retries, timeouts and
+bad-record skipping, or fail-fast without one.  A caller running many
+jobs passes one :func:`~repro.mapreduce.reliable.worker_pool` as
+``backend``.
+
 An optional ``spill_dir`` pickles each shuffle partition to disk,
 emulating Hadoop's disk-backed shuffle: the parent keeps only
 :class:`SpilledPartition` handles, each reduce worker loads its own
 partition from disk, and every spill file is deleted as soon as its
 reduce completes — so resident memory is bounded by one partition per
-worker, not the whole shuffle.
-
-Passing a :class:`~repro.mapreduce.types.RetryPolicy` routes the job
-through :mod:`repro.mapreduce.reliable`, which adds per-chunk retries,
-timeouts, and bad-record skipping on top of the same dataflow.
+worker, not the whole shuffle.  The serial mode ignores it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from typing import Iterable
 
 from .. import telemetry
 from .types import KV, Counters, MapReduceTask, RetryPolicy
+
+#: Policy of a multiprocess run given none: one attempt, no skipping.
+FAIL_FAST = RetryPolicy(max_retries=0, skip_bad_records=False)
 
 
 def _group_by_key(pairs: Iterable[KV]) -> dict:
@@ -147,16 +152,20 @@ def run_task(
     spill_dir: str | None = None,
     chunk_size: int = 4096,
     policy: RetryPolicy | None = None,
+    backend=None,
 ) -> list[KV]:
     """Execute one map-reduce job and return its output pairs.
 
     Output is deterministic: reducers see keys in sorted order and the
     overall output is concatenated in partition order (partitions are
     assigned by :func:`stable_partition`, so the order survives
-    ``PYTHONHASHSEED`` changes).  With ``policy`` set, execution goes
-    through the fault-tolerant layer (retries, timeouts, skip mode).
+    ``PYTHONHASHSEED`` changes).  With ``n_workers > 1``, a ``policy``
+    or a ``backend`` (a pool or :class:`repro.distributed.Backend`,
+    see :func:`~repro.mapreduce.reliable.run_task_reliable`) the job
+    runs on the reliable runner — fail-fast when ``policy`` is None.
+    Otherwise it runs serially in this process, the reference mode.
     """
-    if policy is not None:
+    if n_workers > 1 or policy is not None or backend is not None:
         from .reliable import run_task_reliable
 
         return run_task_reliable(
@@ -167,64 +176,16 @@ def run_task(
             counters=counters,
             spill_dir=spill_dir,
             chunk_size=chunk_size,
-            policy=policy,
+            policy=FAIL_FAST if policy is None else policy,
+            backend=backend,
         )
     inputs = list(inputs) if not isinstance(inputs, list) else inputs
     if counters is None:
         counters = telemetry.active_counters() or Counters()
-    if n_partitions is None:
-        n_partitions = max(1, n_workers)
-
-    if n_workers <= 1:
-        with telemetry.span("mapreduce.map", task=task.name):
-            mapped, stats = _map_chunk((task, inputs))
-            counters.merge(stats)
-        with telemetry.span("mapreduce.reduce", task=task.name):
-            reduced, rstats = _reduce_partition((task, mapped))
-            counters.merge(rstats)
-        return reduced
-
-    import multiprocessing as mp
-
-    chunks = [inputs[i : i + chunk_size] for i in range(0, len(inputs), chunk_size)]
-    ctx = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
-    out: list[KV] = []
-    with ctx.Pool(n_workers) as pool:
-        with telemetry.span("mapreduce.map", task=task.name, chunks=len(chunks)):
-            map_results = pool.map(_map_chunk, [(task, c) for c in chunks])
-        with telemetry.span("mapreduce.shuffle", task=task.name):
-            partitions: list[list[KV]] = [[] for _ in range(n_partitions)]
-            for pairs, stats in map_results:
-                counters.merge(stats)
-                for k, v in pairs:
-                    partitions[stable_partition(k, n_partitions)].append((k, v))
-
-        with telemetry.span(
-            "mapreduce.reduce", task=task.name, partitions=n_partitions
-        ):
-            if spill_dir is not None:
-                spills = _spill_partitions(partitions, spill_dir)
-                del partitions
-                counters.incr("spilled_partitions", len(spills))
-                counters.incr(
-                    "spilled_pairs", sum(s.n_pairs for s in spills)
-                )
-                # Stream results so each spill file is deleted as soon
-                # as its reduce finishes — peak memory is one partition
-                # per in-flight worker, not the whole shuffle.
-                results = pool.imap(
-                    _reduce_partition, [(task, s) for s in spills]
-                )
-                for (pairs, stats), spill in zip(results, spills):
-                    counters.merge(stats)
-                    out.extend(pairs)
-                    spill.delete()
-                return out
-
-            reduce_results = pool.map(
-                _reduce_partition, [(task, p) for p in partitions]
-            )
-    for pairs, stats in reduce_results:
+    with telemetry.span("mapreduce.map", task=task.name):
+        mapped, stats = _map_chunk((task, inputs))
         counters.merge(stats)
-        out.extend(pairs)
-    return out
+    with telemetry.span("mapreduce.reduce", task=task.name):
+        reduced, rstats = _reduce_partition((task, mapped))
+        counters.merge(rstats)
+    return reduced

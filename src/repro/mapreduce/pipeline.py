@@ -30,6 +30,7 @@ from pathlib import Path
 
 from .. import telemetry
 from .engine import run_task
+from .reliable import worker_pool
 from .types import KV, Counters, MapReduceTask, RetryPolicy
 
 
@@ -155,6 +156,7 @@ class Pipeline:
 
     ``policy`` routes every stage through the fault-tolerant engine;
     ``checkpoint_dir`` enables stage materialization and crash resume.
+    With ``n_workers > 1`` every stage runs on one warm worker pool.
     """
 
     def __init__(
@@ -202,42 +204,44 @@ class Pipeline:
                 fingerprint = chain_fingerprint(fingerprint, task.name, i)
                 start = i + 1
 
-        for i in range(start, len(self.tasks)):
-            task = self.tasks[i]
-            counters = Counters()
-            with telemetry.span(f"pipeline.{task.name}", index=i):
-                t0 = time.perf_counter()
-                data = run_task(
-                    task,
-                    data,
-                    n_workers=self.n_workers,
-                    counters=counters,
-                    spill_dir=self.spill_dir,
-                    policy=self.policy,
+        with worker_pool(self.n_workers) as pool:
+            for i in range(start, len(self.tasks)):
+                task = self.tasks[i]
+                counters = Counters()
+                with telemetry.span(f"pipeline.{task.name}", index=i):
+                    t0 = time.perf_counter()
+                    data = run_task(
+                        task,
+                        data,
+                        n_workers=self.n_workers,
+                        counters=counters,
+                        spill_dir=self.spill_dir,
+                        policy=self.policy,
+                        backend=pool,
+                    )
+                    seconds = time.perf_counter() - t0
+                    if self.store is not None:
+                        with telemetry.span("pipeline.checkpoint_save"):
+                            self.store.save(
+                                task.name,
+                                i,
+                                fingerprint,
+                                data,
+                                seconds=seconds,
+                                counters=counters.as_dict(),
+                            )
+                        fingerprint = chain_fingerprint(fingerprint, task.name, i)
+                telemetry.merge_counters(counters)
+                telemetry.count("pipeline_stages_run")
+                telemetry.tick("stages", total=len(self.tasks), unit="stages")
+                self.reports.append(
+                    StageReport.from_counters(
+                        name=task.name,
+                        seconds=seconds,
+                        n_output=len(data),
+                        counters=counters.as_dict(),
+                    )
                 )
-                seconds = time.perf_counter() - t0
-                if self.store is not None:
-                    with telemetry.span("pipeline.checkpoint_save"):
-                        self.store.save(
-                            task.name,
-                            i,
-                            fingerprint,
-                            data,
-                            seconds=seconds,
-                            counters=counters.as_dict(),
-                        )
-                    fingerprint = chain_fingerprint(fingerprint, task.name, i)
-            telemetry.merge_counters(counters)
-            telemetry.count("pipeline_stages_run")
-            telemetry.tick("stages", total=len(self.tasks), unit="stages")
-            self.reports.append(
-                StageReport.from_counters(
-                    name=task.name,
-                    seconds=seconds,
-                    n_output=len(data),
-                    counters=counters.as_dict(),
-                )
-            )
         return data
 
     def total_seconds(self) -> float:

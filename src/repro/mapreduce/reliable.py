@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .. import telemetry
 from . import faults
@@ -60,7 +61,8 @@ class _PoolManager:
 
     ``recreate(generation)`` is a no-op unless the caller's failing
     future came from the *current* pool — so a burst of futures broken
-    by one crashed worker triggers exactly one rebuild.
+    by one crashed worker triggers exactly one rebuild.  It speaks the
+    ``backend`` protocol of :func:`run_task_reliable` (always pooled).
     """
 
     def __init__(self, n_workers: int):
@@ -79,6 +81,12 @@ class _PoolManager:
             kwargs["mp_context"] = mp.get_context("fork")
         self.executor = ProcessPoolExecutor(**kwargs)
 
+    def want_pool(self, workers: int, n_items: int) -> bool:
+        return True
+
+    def harvest(self) -> dict:
+        return {}
+
     def submit(self, fn: Callable, payload: tuple):
         return self.executor.submit(fn, payload), self.generation
 
@@ -88,8 +96,24 @@ class _PoolManager:
             self.generation += 1
             self._make()
 
-    def shutdown(self) -> None:
-        self.executor.shutdown(wait=False, cancel_futures=True)
+    def shutdown(self, wait: bool = False) -> None:
+        self.executor.shutdown(wait=wait, cancel_futures=True)
+
+
+@contextmanager
+def worker_pool(n_workers: int) -> Iterator[_PoolManager | None]:
+    """One warm fork pool, passed as ``backend=`` to every job of a run
+    (``None`` for one worker: the jobs run serially).  On exit, error
+    included, the pool is shut down and its workers joined.
+    """
+    if n_workers <= 1:
+        yield None
+        return
+    pool = _PoolManager(n_workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True)
 
 
 # -- worker entry points ------------------------------------------------------
@@ -357,11 +381,11 @@ def run_task_reliable(
     order, output concatenated in stable partition order), plus the
     recovery behavior described in the module docstring.
 
-    ``backend`` (a registry name or :class:`repro.distributed.Backend`
-    instance) swaps the execution substrate under the identical
-    recovery loop; ``None`` keeps the legacy fork pool.  String-named
-    backends are created and shut down here; instances are
-    caller-owned.
+    ``backend`` (a registry name, a :class:`repro.distributed.Backend`
+    instance or a pool from :func:`worker_pool`) swaps the execution
+    substrate under the identical recovery loop; ``None`` forks a pool
+    for this job alone.  String-named backends are created and shut
+    down here; instances are caller-owned.
     """
     inputs = list(inputs) if not isinstance(inputs, list) else inputs
     if counters is None:
@@ -375,14 +399,11 @@ def run_task_reliable(
     from ..parallel.engine import _resolve_backend
 
     backend_obj, owned_backend = _resolve_backend(backend, n_workers)
-    if backend_obj is not None:
-        pool = (
-            backend_obj
-            if backend_obj.want_pool(n_workers, len(chunks))
-            else None
-        )
-    else:
-        pool = _PoolManager(n_workers) if n_workers > 1 else None
+    if backend_obj is None and n_workers > 1:
+        backend_obj, owned_backend = _PoolManager(n_workers), True
+    pool = None
+    if backend_obj is not None and backend_obj.want_pool(n_workers, len(chunks)):
+        pool = backend_obj
     try:
         with telemetry.span(
             "mapreduce.map", task=task.name, chunks=len(chunks)
@@ -413,8 +434,6 @@ def run_task_reliable(
                 _skip_reduce_partition, on_item_done=on_done,
             )
     finally:
-        if pool is not None and pool is not backend_obj:
-            pool.shutdown()
         if backend_obj is not None:
             counters.merge(backend_obj.harvest())
             if owned_backend:

@@ -23,6 +23,22 @@ from .common import (
 )
 
 
+def kmer_length(text: str) -> int:
+    """argparse type: k in [1, 31], the k-mers' packed-code range."""
+    k = positive_int(text)
+    if k > 31:
+        raise argparse.ArgumentTypeError(f"expected k <= 31, got {k}")
+    return k
+
+
+def unit_fraction(text: str) -> float:
+    """argparse type: a similarity or density in (0, 1]."""
+    value = float(text)  # argparse reports a ValueError as invalid
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a value in (0, 1], got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro-cluster",
@@ -32,15 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("outdir", type=Path, help="output directory")
     p.add_argument(
         "--thresholds",
-        type=float,
+        type=unit_fraction,
         nargs="+",
         default=[0.9, 0.7, 0.5],
         help="decreasing similarity levels (one clustering per level)",
     )
-    p.add_argument("--k", type=int, default=15)
-    p.add_argument("--modulus", type=int, default=24, help="sketch density 1/M")
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--gamma", type=float, default=2.0 / 3.0)
+    p.add_argument("--k", type=kmer_length, default=15)
+    p.add_argument("--modulus", type=positive_int, default=24, help="sketch density 1/M")
+    p.add_argument("--rounds", type=positive_int, default=3)
+    p.add_argument("--gamma", type=unit_fraction, default=2.0 / 3.0)
     p.add_argument("--backend", choices=["plain", "mapreduce"], default="plain")
     p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument(

@@ -42,6 +42,10 @@ DATASETS = {
     ),
 }
 
+#: Cases that rerun another case's committed input through a different
+#: pipeline: case -> the case whose ``*_reads.fastq`` they read.
+SHARED_INPUT = {"closet_mapreduce": "closet"}
+
 #: Pinned REDEEM k (auto-selection is Reptile-only).
 REDEEM_K = 10
 #: Pinned CLOSET thresholds, loosest last.
@@ -96,7 +100,7 @@ def run_redeem(reads):
 
 
 def run_closet(reads) -> str:
-    """CLOSET clustering rendered as a canonical TSV text.
+    """CLOSET clustering (plain backend) rendered as a canonical TSV.
 
     One line per (threshold, cluster, read): clusters are ordered by
     their smallest read index, members ascending — so the text is a
@@ -105,6 +109,28 @@ def run_closet(reads) -> str:
     from repro.core.closet import ClosetClusterer
 
     result = ClosetClusterer().run(reads, thresholds=CLOSET_THRESHOLDS)
+    return _closet_tsv(reads, result)
+
+
+def run_closet_mapreduce(reads, policy=None) -> str:
+    """The Task 1–8 MapReduce backend on 2 workers, same TSV form.
+
+    ``policy`` selects the fault-tolerant runner; the clustering must
+    not depend on it.
+    """
+    from repro.core.closet import ClosetClusterer
+
+    result = ClosetClusterer().run(
+        reads,
+        thresholds=CLOSET_THRESHOLDS,
+        backend="mapreduce",
+        n_workers=2,
+        policy=policy,
+    )
+    return _closet_tsv(reads, result)
+
+
+def _closet_tsv(reads, result) -> str:
     lines = ["#threshold\tcluster\tread"]
     for t in sorted(result.clusters, reverse=True):
         clusters = sorted(
@@ -117,9 +143,10 @@ def run_closet(reads) -> str:
 
 
 def reads_path(case: str) -> Path:
-    return GOLDEN_DIR / f"{case}_reads.fastq"
+    return GOLDEN_DIR / f"{SHARED_INPUT.get(case, case)}_reads.fastq"
 
 
 def expected_path(case: str) -> Path:
-    suffix = "expected.tsv" if case == "closet" else "expected.fastq"
+    closet = SHARED_INPUT.get(case, case) == "closet"
+    suffix = "expected.tsv" if closet else "expected.fastq"
     return GOLDEN_DIR / f"{case}_{suffix}"

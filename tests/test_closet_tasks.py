@@ -1,9 +1,11 @@
 """Unit tests for the individual CLOSET MapReduce tasks (Sec. 4.4)."""
 
-import numpy as np
+import pickle
+
 import pytest
 
-from repro.core.closet import read_hash_sets
+from repro.core.closet import kmer_containment, read_hash_sets
+from repro.core.closet.similarity import HashSetTable
 from repro.core.closet import tasks as T
 from repro.io import ReadSet
 from repro.mapreduce import run_task
@@ -48,34 +50,44 @@ def test_task2_counts_shared_hashes():
     assert edges[(0, 1)] == 3
 
 
-def test_task3_dedup_emits_both_directions():
-    pairs = [((0, 1), 3), ((0, 1), 2)]
+def test_task3_dedup_keys_by_smaller_read():
+    pairs = [((0, 1), 3), ((0, 1), 2), ((1, 2), 1)]
     directed = run_task(T.task_redundant_removal(), pairs)
-    assert sorted(directed) == [(0, (1, 5)), (1, (0, 5))]
+    # Each unique pair once, keyed by its smaller read.
+    assert sorted(directed) == [(0, (1, 5)), (1, (2, 1))]
 
 
-def test_task4_aggregation_joins_reads_and_partners(hash_inputs):
-    directed = [(0, (1, 4)), (1, (0, 4))]
-    joined = dict(run_task(T.task_data_aggregation(), hash_inputs + directed))
-    hashes, partners = joined[0]
-    assert isinstance(hashes, np.ndarray)
-    assert partners == (1,)
-    # Read 2 had no partners: joined entry has empty partner tuple.
-    assert joined[2][1] == ()
+def test_task4_aggregation_groups_partners():
+    directed = [(0, (2, 1)), (0, (1, 4)), (1, (2, 3))]
+    joined = dict(run_task(T.task_data_aggregation(), directed))
+    assert joined == {0: (1, 2), 1: (2,)}
+    # Read 2 is nobody's smaller read: no record of its own.
+    assert 2 not in joined
 
 
 def test_task5_validation(hash_inputs):
-    directed = [(0, (1, 4)), (1, (0, 4))]
-    joined = run_task(T.task_data_aggregation(), hash_inputs + directed)
-    validated = dict(run_task(T.task_edge_validation(0.9), joined))
-    assert validated[(0, 1)] == pytest.approx(1.0)  # identical reads
+    table = HashSetTable([h for _, h in hash_inputs])
+    joined = [(0, (1, 2))]
+    validated = dict(run_task(T.task_edge_validation(table, 0.0), joined))
+    assert validated[(0, 1)] == 1.0  # identical reads
+    assert validated[(0, 2)] == kmer_containment(
+        hash_inputs[0][1], hash_inputs[2][1]
+    )
+    assert all(type(i) is int and type(j) is int for i, j in validated)
 
 
 def test_task5_threshold_rejects(hash_inputs):
-    directed = [(0, (2, 1)), (2, (0, 1))]
-    joined = run_task(T.task_data_aggregation(), hash_inputs + directed)
-    validated = dict(run_task(T.task_edge_validation(0.9), joined))
+    table = HashSetTable([h for _, h in hash_inputs])
+    joined = [(0, (2,))]
+    validated = dict(run_task(T.task_edge_validation(table, 0.9), joined))
     assert (0, 2) not in validated
+
+
+def test_task5_mapper_does_not_carry_the_table(hash_inputs):
+    table = HashSetTable([h for _, h in hash_inputs])
+    task = T.task_edge_validation(table, 0.9)
+    assert task.reducer.keywords["table"] is table
+    assert len(pickle.dumps(task.mapper)) < 200
 
 
 def test_task6_filtering():

@@ -17,6 +17,12 @@ from repro.io import ReadSet
 from repro.seq import encode
 
 
+@pytest.mark.parametrize("bad", [dict(modulus=0), dict(rounds=0), dict(modulus=-3)])
+def test_sketch_params_reject_nonpositive_modulus_and_rounds(bad):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        SketchParams(**bad)
+
+
 # -- hashing / similarity ----------------------------------------------------
 def test_hash64_deterministic_and_spread():
     x = np.arange(1000, dtype=np.uint64)
@@ -110,6 +116,14 @@ def test_build_edges_similarity_range(family_reads):
     assert (res.similarities <= 1.0).all()
     assert res.n_unique <= res.n_predicted
     assert res.n_confirmed <= res.n_unique
+
+
+def test_build_edges_batched_kernel_matches_scalar_oracle(family_reads):
+    params = SketchParams(k=12, modulus=4, rounds=3, cmin=0.3)
+    batched = build_edges(family_reads, params)
+    scalar = build_edges(family_reads, params, similarity_fn=kmer_containment)
+    assert np.array_equal(batched.edges, scalar.edges)
+    assert np.array_equal(batched.similarities, scalar.similarities)
 
 
 def test_build_edges_cmax_postpones():

@@ -71,6 +71,22 @@ def test_closet_golden():
     )
 
 
+@pytest.mark.parametrize("retries", [None, 1], ids=["no-policy", "policy"])
+def test_closet_mapreduce_golden(retries):
+    """The 2-worker MapReduce backend renders the pinned clustering
+    whether or not the fault-tolerant runner is asked for."""
+    from repro.mapreduce import RetryPolicy
+
+    reads = _load_reads("closet_mapreduce")
+    policy = None if retries is None else RetryPolicy(max_retries=retries)
+    got = P.run_closet_mapreduce(reads, policy=policy)
+    expected = P.expected_path("closet_mapreduce").read_text()
+    assert got == expected, (
+        "CLOSET MapReduce clustering changed relative to the golden "
+        "corpus; if intentional, regenerate via tests/golden/regenerate.py"
+    )
+
+
 def test_golden_corpus_is_nontrivial():
     """The corpus must actually exercise corrections (guards against a
     regenerate that silently produced a no-op dataset)."""

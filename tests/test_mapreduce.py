@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.mapreduce import (
     Counters,
+    FatalTaskError,
     MapReduceTask,
     Pipeline,
     SpilledPartition,
@@ -46,6 +48,22 @@ def wordcount_inputs():
 
 
 EXPECTED = {"the": 3, "quick": 2, "dog": 2, "brown": 1, "fox": 1, "lazy": 1}
+
+
+def bad_mapper(key, value):
+    if key == 1:
+        raise ValueError(f"bad record {key}")
+    yield key, value
+
+
+def test_multiprocess_without_policy_fails_fast():
+    """No policy, 2 workers: one attempt, no skipping, and the mapper's
+    own exception chained under FatalTaskError."""
+    task = MapReduceTask("bad", bad_mapper, identity_reducer)
+    with pytest.raises(FatalTaskError) as exc:
+        run_task(task, wordcount_inputs(), n_workers=2, chunk_size=1)
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert "bad record 1" in str(exc.value.__cause__)
 
 
 def test_wordcount_serial():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.closet import hash64, kmer_containment, read_hash_sets
+from repro.core.closet.similarity import HashSetTable
 from repro.eval import evaluate_correction
 from repro.io import ReadSet
 from repro.kmer import (
@@ -86,6 +87,26 @@ def test_identical_reads_full_containment(s):
     rs = ReadSet.from_strings([s, s])
     hs = read_hash_sets(rs, 6)
     assert kmer_containment(hs[0], hs[1]) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 40), max_size=25), min_size=1, max_size=8))
+def test_table_containment_equals_scalar_oracle(sets):
+    """The batched table kernel reproduces ``kmer_containment`` bit for
+    bit — empty, disjoint, subset and identical sets included."""
+    hsets = [hash64(np.array(sorted(s), dtype=np.uint64)) for s in sets]
+    hsets = [np.unique(h) for h in hsets]
+    first = hsets[0]
+    hsets += [first.copy(), first[::2].copy(), np.empty(0, dtype=np.uint64)]
+    table = HashSetTable(hsets)
+    n = len(hsets)
+    for i in range(n):
+        got = table.containment(i, list(range(n)))
+        want = [kmer_containment(hsets[i], hsets[j]) for j in range(n)]
+        assert got.tolist() == want
+    pairs = np.array([(i, j) for i in range(n) for j in range(n)])[::-1]
+    want = [kmer_containment(hsets[i], hsets[j]) for i, j in pairs.tolist()]
+    assert table.pair_containment(pairs).tolist() == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -533,3 +533,83 @@ def test_closet_driver_accepts_policy_and_checkpoint(tmp_path):
     )
     assert res2.stage_seconds["sketching"] == 0.0
     assert res2.edge_result.n_confirmed == res.edge_result.n_confirmed
+
+
+# -- one warm pool per clustering -----------------------------------------------
+def _boom_reducer(*args, **kwargs):
+    raise RuntimeError("validation reducer failed")
+
+
+def _pool_count(monkeypatch):
+    from repro.mapreduce import reliable
+
+    made = []
+    init = reliable._PoolManager.__init__
+
+    def counting_init(self, n_workers):
+        made.append(n_workers)
+        init(self, n_workers)
+
+    monkeypatch.setattr(reliable._PoolManager, "__init__", counting_init)
+    return made
+
+
+def _closet_reads():
+    from repro.io.readset import ReadSet
+
+    rng = np.random.default_rng(3)
+    seqs = ["".join("ACGT"[c] for c in rng.integers(0, 4, 60)) for _ in range(10)]
+    seqs += [s[:55] + "ACGTA" for s in seqs[:5]]
+    return ReadSet.from_strings(seqs)
+
+
+@pytest.mark.parametrize("policy", [None, RetryPolicy(max_retries=1, **FAST)])
+def test_closet_mapreduce_runs_every_job_on_one_pool(monkeypatch, policy):
+    import multiprocessing as mp
+
+    from repro.core.closet import ClosetClusterer, ClosetParams, SketchParams
+
+    params = ClosetParams(sketch=SketchParams(k=9, modulus=4, rounds=2, cmin=0.3))
+    reads = _closet_reads()
+    plain = ClosetClusterer(params).run(reads, thresholds=[0.6, 0.3])
+    before = set(mp.active_children())
+    made = _pool_count(monkeypatch)
+    res = ClosetClusterer(params).run(
+        reads, thresholds=[0.6, 0.3], backend="mapreduce", n_workers=2,
+        policy=policy,
+    )
+    assert made == [2]
+    assert set(mp.active_children()) <= before
+    # Same confirmed edges, in the same order, as the plain backend.
+    assert np.array_equal(res.edge_result.edges, plain.edge_result.edges)
+    assert np.array_equal(
+        res.edge_result.similarities, plain.edge_result.similarities
+    )
+
+
+def test_closet_pool_shut_down_when_a_task_raises(monkeypatch):
+    import multiprocessing as mp
+
+    from repro.core.closet import ClosetClusterer, ClosetParams, SketchParams
+
+    params = ClosetParams(sketch=SketchParams(k=9, modulus=4, rounds=2, cmin=0.3))
+    before = set(mp.active_children())
+    made = _pool_count(monkeypatch)
+    monkeypatch.setattr(T, "validation_reducer", _boom_reducer)
+    with pytest.raises(FatalTaskError) as exc:
+        ClosetClusterer(params).run(
+            _closet_reads(), thresholds=[0.3], backend="mapreduce", n_workers=2
+        )
+    assert isinstance(exc.value.__cause__, RuntimeError)
+    assert made == [2]
+    assert set(mp.active_children()) <= before
+
+
+def test_pipeline_runs_every_stage_on_one_pool(monkeypatch):
+    made = _pool_count(monkeypatch)
+    pipe = Pipeline(_closet_stages(), n_workers=2)
+    out = pipe.run(_closet_inputs())
+    assert made == [2]
+    assert sorted(out, key=repr) == sorted(
+        Pipeline(_closet_stages()).run(_closet_inputs()), key=repr
+    )

@@ -120,6 +120,41 @@ def test_cluster_tool(tmp_path, capsys):
     assert "confirmed=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--k", "0"],
+        ["--k", "33"],
+        ["--modulus", "0"],
+        ["--rounds", "0"],
+        ["--gamma", "0"],
+        ["--gamma", "1.5"],
+        ["--thresholds", "1.5"],
+        ["--thresholds", "0.9", "0"],
+        ["--thresholds", "nan"],
+    ],
+    ids=lambda f: " ".join(f),
+)
+def test_cluster_tool_rejects_out_of_range_flags(flags, tmp_path, capsys):
+    fa = tmp_path / "in.fasta"
+    fa.write_text(">a\nACGTACGTACGTACGTACGTACGT\n")
+    with pytest.raises(SystemExit) as exc:
+        cluster_main([str(fa), str(tmp_path / "c"), *flags])
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_cluster_tool_accepts_range_edges(tmp_path):
+    fa = tmp_path / "in.fasta"
+    fa.write_text(">a\nACGTACGTACGTACGTACGTACGTACGTACGTAC\n")
+    rc = cluster_main(
+        [str(fa), str(tmp_path / "c"), "--k", "31", "--thresholds", "1",
+         "--gamma", "1", "--modulus", "1", "--rounds", "1"]
+    )
+    assert rc == 0
+
+
 def test_cluster_tool_fasta_input(tmp_path):
     from repro.io import write_fasta
 
